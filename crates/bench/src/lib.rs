@@ -99,6 +99,16 @@ pub fn banner(id: &str, title: &str) {
     println!("==============================================================");
 }
 
+/// Serializes the unit tests that set `LORI_RESULTS_DIR`: they share one
+/// test binary, and one test's `remove_var` would otherwise pull the
+/// results dir out from under another mid-run.
+#[cfg(test)]
+pub(crate) fn env_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,8 +1,9 @@
 //! End-to-end robustness tests for the crash-safe sweep pipeline:
 //! WAL-based resume is byte-identical, injected panics quarantine exactly
-//! one point, and a stale WAL never leaks into fresh results.
+//! one point, a stale WAL never leaks into fresh results, and the
+//! `exp-fig5` artifact is byte-identical across thread counts.
 //!
-//! These tests mutate process-global state (`LORI_RESULTS_DIR`,
+//! The in-process tests mutate process-global state (`LORI_RESULTS_DIR`,
 //! `LORI_RECOVERY`, the armed fault plan, the installed recorder), so each
 //! one holds the shared lock for its whole body.
 
@@ -12,6 +13,7 @@ use lori_ftsched::montecarlo::SweepConfig;
 use lori_ftsched::workload::adpcm_reference_trace;
 use lori_obs::Value;
 use std::path::{Path, PathBuf};
+use std::process::Command;
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 const AXIS: [f64; 5] = [1e-8, 1e-7, 1e-6, 5e-6, 1e-5];
@@ -173,6 +175,49 @@ fn injected_panic_quarantines_one_point_and_spares_the_rest() {
     assert_eq!(quarantined[0].as_f64(), Some(2.0));
     let recovery = cfg.get("recovery").and_then(Value::as_str).unwrap_or("");
     assert!(recovery.contains("Quarantine"), "{recovery}");
+
+    std::fs::remove_dir_all(&base).ok();
+}
+
+/// Inherited `LORI_*` knobs stripped from the spawned `exp-fig5` so the
+/// test's own settings are the whole story.
+const STRIPPED_KNOBS: [&str; 6] = [
+    "LORI_THREADS",
+    "LORI_FAULT_PLAN",
+    "LORI_RECOVERY",
+    "LORI_TELEMETRY",
+    "LORI_PROGRESS",
+    "LORI_OBS",
+];
+
+#[test]
+fn points_are_byte_identical_across_thread_counts() {
+    let base = scratch("threads");
+    let mut artifacts = Vec::new();
+    for threads in ["1", "4"] {
+        let dir = base.join(format!("threads-{threads}"));
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_exp-fig5"));
+        for knob in STRIPPED_KNOBS {
+            cmd.env_remove(knob);
+        }
+        let out = cmd
+            .env("LORI_RESULTS_DIR", &dir)
+            .env("LORI_RUNS", "20")
+            .env("LORI_THREADS", threads)
+            .output()
+            .expect("spawn exp-fig5");
+        assert!(
+            out.status.success(),
+            "exp-fig5 at LORI_THREADS={threads} failed ({}):\n{}",
+            out.status,
+            String::from_utf8_lossy(&out.stderr)
+        );
+        artifacts.push(read_points(&dir, "exp-fig5"));
+    }
+    assert_eq!(
+        artifacts[0], artifacts[1],
+        "points.json diverged between LORI_THREADS=1 and 4"
+    );
 
     std::fs::remove_dir_all(&base).ok();
 }

@@ -22,8 +22,6 @@
 
 #![warn(missing_docs)]
 
-pub mod procpool;
-
 use std::num::NonZeroUsize;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
