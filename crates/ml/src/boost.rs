@@ -254,8 +254,7 @@ impl GradientBoostRegressor {
                 .zip(&preds)
                 .map(|(y, p)| y - p)
                 .collect();
-            let stage_ds = Dataset::from_rows(ds.features().to_vec(), residuals)?;
-            let tree = RegressionTree::fit(&stage_ds, &tree_cfg)?;
+            let tree = RegressionTree::fit_targets(ds.features(), &residuals, &tree_cfg)?;
             for (p, row) in preds.iter_mut().zip(ds.features()) {
                 *p += config.learning_rate * tree.predict(row);
             }
@@ -329,8 +328,7 @@ impl GradientBoostClassifier {
                     }
                 })
                 .collect();
-            let stage_ds = Dataset::from_rows(ds.features().to_vec(), grads)?;
-            let tree = RegressionTree::fit(&stage_ds, &tree_cfg)?;
+            let tree = RegressionTree::fit_targets(ds.features(), &grads, &tree_cfg)?;
             for (z, row) in logits.iter_mut().zip(ds.features()) {
                 *z += config.learning_rate * tree.predict(row);
             }

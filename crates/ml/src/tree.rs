@@ -121,7 +121,14 @@ impl DecisionTree {
             return Err(MlError::SingleClass);
         }
         let idx: Vec<usize> = (0..ds.len()).collect();
-        let root = grow(ds, &idx, Task::Classify { n_classes }, config, 0, rng);
+        let root = grow(
+            Rows::of(ds),
+            &idx,
+            Task::Classify { n_classes },
+            config,
+            0,
+            rng,
+        );
         Ok(DecisionTree {
             root,
             n_classes,
@@ -179,14 +186,35 @@ impl RegressionTree {
     ///
     /// Same as [`RegressionTree::fit`].
     pub fn fit_seeded(ds: &Dataset, config: &TreeConfig, rng: &mut Rng) -> Result<Self, MlError> {
+        Self::grow_on(Rows::of(ds), config, rng)
+    }
+
+    /// Grows a regression tree on borrowed feature rows and a separate
+    /// target vector, as gradient boosting does once per stage with that
+    /// stage's residuals. Same result as [`RegressionTree::fit`] on a
+    /// dataset of those rows and targets, without copying the rows.
+    pub(crate) fn fit_targets(
+        features: &[Vec<f64>],
+        targets: &[f64],
+        config: &TreeConfig,
+    ) -> Result<Self, MlError> {
+        debug_assert_eq!(features.len(), targets.len());
+        let rows = Rows {
+            x: features,
+            y: targets,
+        };
+        Self::grow_on(rows, config, &mut Rng::from_seed(0))
+    }
+
+    fn grow_on(rows: Rows<'_>, config: &TreeConfig, rng: &mut Rng) -> Result<Self, MlError> {
         if config.min_samples_split < 2 {
             return Err(MlError::InvalidHyperparameter("min_samples_split"));
         }
-        let idx: Vec<usize> = (0..ds.len()).collect();
-        let root = grow(ds, &idx, Task::Regress, config, 0, rng);
+        let idx: Vec<usize> = (0..rows.x.len()).collect();
+        let root = grow(rows, &idx, Task::Regress, config, 0, rng);
         Ok(RegressionTree {
             root,
-            n_features: ds.n_features(),
+            n_features: rows.x.first().map_or(0, Vec::len),
         })
     }
 
@@ -204,13 +232,29 @@ impl Regressor for RegressionTree {
     }
 }
 
-fn leaf_value(ds: &Dataset, idx: &[usize], task: Task) -> Vec<f64> {
+/// Borrowed training rows: feature rows and the targets being fitted.
+#[derive(Clone, Copy)]
+struct Rows<'a> {
+    x: &'a [Vec<f64>],
+    y: &'a [f64],
+}
+
+impl<'a> Rows<'a> {
+    fn of(ds: &'a Dataset) -> Self {
+        Rows {
+            x: ds.features(),
+            y: ds.targets(),
+        }
+    }
+}
+
+fn leaf_value(ds: Rows<'_>, idx: &[usize], task: Task) -> Vec<f64> {
     match task {
         Task::Classify { n_classes } => {
             let mut counts = vec![0.0f64; n_classes];
             for &i in idx {
                 #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-                let c = ds.targets()[i].round().max(0.0) as usize;
+                let c = ds.y[i].round().max(0.0) as usize;
                 counts[c] += 1.0;
             }
             #[allow(clippy::cast_precision_loss)]
@@ -223,13 +267,13 @@ fn leaf_value(ds: &Dataset, idx: &[usize], task: Task) -> Vec<f64> {
         Task::Regress => {
             #[allow(clippy::cast_precision_loss)]
             let n = idx.len().max(1) as f64;
-            let mean = idx.iter().map(|&i| ds.targets()[i]).sum::<f64>() / n;
+            let mean = idx.iter().map(|&i| ds.y[i]).sum::<f64>() / n;
             vec![mean]
         }
     }
 }
 
-fn impurity(ds: &Dataset, idx: &[usize], task: Task) -> f64 {
+fn impurity(ds: Rows<'_>, idx: &[usize], task: Task) -> f64 {
     if idx.is_empty() {
         return 0.0;
     }
@@ -240,23 +284,20 @@ fn impurity(ds: &Dataset, idx: &[usize], task: Task) -> f64 {
             let mut counts = vec![0.0f64; n_classes];
             for &i in idx {
                 #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-                let c = ds.targets()[i].round().max(0.0) as usize;
+                let c = ds.y[i].round().max(0.0) as usize;
                 counts[c] += 1.0;
             }
             1.0 - counts.iter().map(|c| (c / n).powi(2)).sum::<f64>()
         }
         Task::Regress => {
-            let mean = idx.iter().map(|&i| ds.targets()[i]).sum::<f64>() / n;
-            idx.iter()
-                .map(|&i| (ds.targets()[i] - mean).powi(2))
-                .sum::<f64>()
-                / n
+            let mean = idx.iter().map(|&i| ds.y[i]).sum::<f64>() / n;
+            idx.iter().map(|&i| (ds.y[i] - mean).powi(2)).sum::<f64>() / n
         }
     }
 }
 
 fn grow(
-    ds: &Dataset,
+    ds: Rows<'_>,
     idx: &[usize],
     task: Task,
     config: &TreeConfig,
@@ -270,7 +311,7 @@ fn grow(
         };
     }
 
-    let d = ds.n_features();
+    let d = ds.x.first().map_or(0, Vec::len);
     let candidate_features: Vec<usize> = match config.max_features {
         Some(k) if k < d => rng.sample_indices(d, k.max(1)),
         _ => (0..d).collect(),
@@ -282,14 +323,10 @@ fn grow(
     for &f in &candidate_features {
         // Sort sample indices by this feature and scan midpoints.
         let mut sorted: Vec<usize> = idx.to_vec();
-        sorted.sort_by(|&a, &b| {
-            ds.features()[a][f]
-                .partial_cmp(&ds.features()[b][f])
-                .expect("NaN feature")
-        });
+        sorted.sort_by(|&a, &b| ds.x[a][f].partial_cmp(&ds.x[b][f]).expect("NaN feature"));
         for w in 1..sorted.len() {
-            let lo = ds.features()[sorted[w - 1]][f];
-            let hi = ds.features()[sorted[w]][f];
+            let lo = ds.x[sorted[w - 1]][f];
+            let hi = ds.x[sorted[w]][f];
             if hi - lo < 1e-12 {
                 continue;
             }
@@ -307,9 +344,8 @@ fn grow(
 
     match best {
         Some((feature, threshold, weighted)) if weighted < parent_imp - 1e-12 => {
-            let (li, ri): (Vec<usize>, Vec<usize>) = idx
-                .iter()
-                .partition(|&&i| ds.features()[i][feature] <= threshold);
+            let (li, ri): (Vec<usize>, Vec<usize>) =
+                idx.iter().partition(|&&i| ds.x[i][feature] <= threshold);
             Node::Split {
                 feature,
                 threshold,
@@ -420,6 +456,22 @@ mod tests {
         let preds: Vec<f64> = rows.iter().map(|r| tree.predict(r)).collect();
         let score = r2(&ys, &preds).unwrap();
         assert!(score > 0.95, "r2 {score}");
+    }
+
+    #[test]
+    fn fit_targets_matches_fit_on_a_dataset() {
+        let mut rng = Rng::from_seed(8);
+        let rows: Vec<Vec<f64>> = (0..120)
+            .map(|_| vec![rng.uniform_in(-3.0, 3.0), rng.normal()])
+            .collect();
+        let ys: Vec<f64> = rows.iter().map(|r| r[0].sin() + 0.1 * r[1]).collect();
+        let cfg = TreeConfig {
+            max_depth: 3,
+            ..TreeConfig::default()
+        };
+        let borrowed = RegressionTree::fit_targets(&rows, &ys, &cfg).unwrap();
+        let ds = Dataset::from_rows(rows, ys).unwrap();
+        assert_eq!(borrowed, RegressionTree::fit(&ds, &cfg).unwrap());
     }
 
     #[test]

@@ -5,6 +5,7 @@ use lori_ml::data::{Dataset, MinMaxScaler, StandardScaler};
 use lori_ml::knn::Knn;
 use lori_ml::linreg::LinearRegression;
 use lori_ml::metrics::{accuracy, confusion_matrix, f1_score, mse, precision, r2, recall};
+use lori_ml::mlp::{Activation, Head, Mlp, MlpConfig};
 use lori_ml::traits::{Classifier, Regressor};
 use lori_ml::tree::{DecisionTree, TreeConfig};
 use proptest::prelude::*;
@@ -18,6 +19,14 @@ fn arb_dataset(max_n: usize, d: usize) -> impl Strategy<Value = Dataset> {
         let (xs, ys): (Vec<_>, Vec<_>) = rows.into_iter().map(|(x, y)| (x, y.round())).unzip();
         Dataset::from_rows(xs, ys).expect("valid by construction")
     })
+}
+
+/// Bit patterns of a network's outputs on every row.
+fn forward_bits(mlp: &Mlp, rows: &[Vec<f64>]) -> Vec<u64> {
+    rows.iter()
+        .flat_map(|r| mlp.forward(r))
+        .map(f64::to_bits)
+        .collect()
 }
 
 proptest! {
@@ -133,5 +142,63 @@ proptest! {
         a.sort_by(f64::total_cmp);
         b.sort_by(f64::total_cmp);
         prop_assert_eq!(a, b);
+    }
+
+    /// Over random small architectures, batch sizes and activations: batch
+    /// prediction equals row-wise `forward` bit for bit, and two fits with
+    /// one seed are bit-identical.
+    #[test]
+    fn mlp_batch_predict_matches_forward_and_fits_repeat(
+        hidden in proptest::collection::vec(1usize..=20, 1..4),
+        batch_size in 1usize..24,
+        activation in 0usize..3,
+        head in 0usize..3,
+        shape in (3usize..40, 1usize..6),
+        seed in 0u64..1000,
+    ) {
+        let (n, d) = shape;
+        let mut rng = Rng::from_seed(seed);
+        let rows: Vec<Vec<f64>> = (0..n)
+            .map(|_| (0..d).map(|_| rng.normal_with(0.0, 2.0)).collect())
+            .collect();
+        let head = [
+            Head::Regression,
+            Head::Classification { n_classes: 2 },
+            Head::Classification { n_classes: 3 },
+        ][head];
+        let ys: Vec<f64> = rows
+            .iter()
+            .map(|r| match head {
+                Head::Regression => r[0] * 0.5 - r[d - 1],
+                Head::Classification { n_classes } => (r[0].abs() as usize % n_classes) as f64,
+            })
+            .collect();
+        let ds = Dataset::from_rows(rows.clone(), ys).unwrap();
+        let config = MlpConfig {
+            hidden,
+            activation: [Activation::Relu, Activation::Tanh, Activation::Sigmoid][activation],
+            head,
+            learning_rate: 0.05,
+            momentum: 0.9,
+            epochs: 3,
+            batch_size,
+            seed,
+        };
+        let a = Mlp::fit(&ds, &config).unwrap();
+        let b = Mlp::fit(&ds, &config).unwrap();
+        let loss_bits = |m: &Mlp| m.loss_history().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(loss_bits(&a), loss_bits(&b));
+        prop_assert_eq!(forward_bits(&a, &rows), forward_bits(&b, &rows));
+
+        if head == Head::Regression {
+            let batch: Vec<u64> = Regressor::predict_batch(&a, &rows)
+                .into_iter()
+                .map(f64::to_bits)
+                .collect();
+            prop_assert_eq!(batch, forward_bits(&a, &rows));
+        } else {
+            let rowwise: Vec<usize> = rows.iter().map(|r| Classifier::predict(&a, r)).collect();
+            prop_assert_eq!(Classifier::predict_batch(&a, &rows), rowwise);
+        }
     }
 }
