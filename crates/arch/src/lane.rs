@@ -37,7 +37,6 @@
 use crate::cpu::{Cpu, CpuConfig, ExecResult, Protection, StopReason};
 use crate::fault::{classify, run_with_fault, FaultSpec, FaultTarget, Outcome};
 use crate::isa::{Instr, Program, Reg, NUM_REGS};
-use lori_obs::progress::Progress;
 use lori_par::Parallelism;
 use std::collections::HashMap;
 
@@ -49,12 +48,15 @@ pub const MAX_LANES: usize = 64;
 /// full 64-lane default.
 #[must_use]
 pub fn lanes_from_env() -> usize {
-    match std::env::var("LORI_LANES") {
-        Ok(s) => match s.trim().parse::<usize>() {
-            Ok(n) if (1..=MAX_LANES).contains(&n) => n,
-            _ => MAX_LANES,
-        },
-        Err(_) => MAX_LANES,
+    parse_lanes(std::env::var("LORI_LANES").ok().as_deref())
+}
+
+/// [`lanes_from_env`]'s rule on a raw value, kept pure so tests never
+/// mutate the process environment.
+fn parse_lanes(raw: Option<&str>) -> usize {
+    match raw.map(|s| s.trim().parse::<usize>()) {
+        Some(Ok(n)) if (1..=MAX_LANES).contains(&n) => n,
+        _ => MAX_LANES,
     }
 }
 
@@ -66,9 +68,7 @@ pub fn lanes_from_env() -> usize {
 /// `par` workers (block boundaries depend only on the input, so results
 /// are identical at any worker count); within a block, `width` lanes run
 /// per simulation pass (`width <= 1` selects the scalar reference path).
-/// `progress` ticks once per completed trial.
 #[must_use]
-#[allow(clippy::too_many_arguments)]
 pub fn campaign_outcomes(
     program: &Program,
     config: &CpuConfig,
@@ -77,26 +77,21 @@ pub fn campaign_outcomes(
     specs: &[FaultSpec],
     width: usize,
     par: Parallelism,
-    progress: Option<&Progress>,
 ) -> Vec<Outcome> {
     let width = width.clamp(1, MAX_LANES);
     let blocks: Vec<&[FaultSpec]> = specs.chunks(MAX_LANES).collect();
     let results = lori_par::par_map(par, &blocks, |_, block| {
-        let out: Vec<Outcome> = if width == 1 {
+        if width == 1 {
             block
                 .iter()
                 .map(|f| run_with_fault(program, config, protection, golden, f))
-                .collect()
+                .collect::<Vec<_>>()
         } else {
             block
                 .chunks(width)
                 .flat_map(|lanes| run_fault_block(program, config, protection, golden, lanes))
                 .collect()
-        };
-        if let Some(p) = progress {
-            p.add(block.len() as u64);
         }
-        out
     });
     results.into_iter().flatten().collect()
 }
@@ -779,7 +774,6 @@ mod tests {
             &specs,
             1,
             Parallelism::serial(),
-            None,
         );
         for width in [2, 7, 64] {
             for threads in [1, 4] {
@@ -791,7 +785,6 @@ mod tests {
                     &specs,
                     width,
                     Parallelism::new(threads),
-                    None,
                 );
                 assert_eq!(scalar, lanes, "width {width} threads {threads}");
             }
@@ -800,9 +793,7 @@ mod tests {
 
     #[test]
     fn lanes_env_parsing() {
-        // Env mutation is process-global; exercise all cases in one test.
-        std::env::remove_var("LORI_LANES");
-        assert_eq!(lanes_from_env(), MAX_LANES);
+        assert_eq!(parse_lanes(None), MAX_LANES);
         for (raw, want) in [
             ("1", 1),
             ("64", 64),
@@ -811,9 +802,7 @@ mod tests {
             ("65", 64),
             ("x", 64),
         ] {
-            std::env::set_var("LORI_LANES", raw);
-            assert_eq!(lanes_from_env(), want, "LORI_LANES={raw}");
+            assert_eq!(parse_lanes(Some(raw)), want, "LORI_LANES={raw}");
         }
-        std::env::remove_var("LORI_LANES");
     }
 }

@@ -186,7 +186,6 @@ fn edge_cycles_and_mixed_targets_match() {
             &specs,
             1,
             Parallelism::serial(),
-            None,
         );
         let lanes = run_fault_block(&program, &config, &protection, &golden, &specs[..MAX_LANES]);
         assert_eq!(&scalar[..MAX_LANES], &lanes[..], "{}", program.name);
@@ -198,7 +197,6 @@ fn edge_cycles_and_mixed_targets_match() {
             &specs,
             MAX_LANES,
             Parallelism::new(4),
-            None,
         );
         assert_eq!(scalar, all, "{}", program.name);
     }

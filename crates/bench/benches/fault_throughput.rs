@@ -109,7 +109,6 @@ fn run_all(sets: &[CampaignSet], config: &CpuConfig, protection: &Protection, wi
             &set.specs,
             width,
             Parallelism::serial(),
-            None,
         );
         std::hint::black_box(outcomes);
     }
@@ -151,7 +150,6 @@ fn measure_group(
             &set.specs,
             1,
             Parallelism::serial(),
-            None,
         );
         let lanes = campaign_outcomes(
             &set.program,
@@ -161,7 +159,6 @@ fn measure_group(
             &set.specs,
             MAX_LANES,
             Parallelism::serial(),
-            None,
         );
         assert_eq!(
             scalar, lanes,

@@ -2,13 +2,12 @@
 //! Monte Carlo sweep of `lori-ftsched`.
 //!
 //! The headline A/B — always run, even under `LORI_BENCH_SMOKE=1` — is the
-//! telemetry-plane tax in the shipping default: the sweep with every
-//! consumer off (`baseline`: no recorder, flight disabled) against the
-//! harness default with the endpoint *disabled* (`telemetry_disabled`:
-//! flight recorder armed, no recorder installed, no `LORI_TELEMETRY`
-//! listener). Samples interleave A and B so drift hits both arms equally;
-//! the medians land in `results/BENCH_obs.json` with the relative
-//! `overhead_pct`. Acceptance target: < 2 %.
+//! obs tax in the shipping default: the sweep with every consumer off
+//! (`baseline`: no recorder, flight disabled) against the harness default
+//! (recorded under the historical key `telemetry_disabled`: flight
+//! recorder armed, no event recorder). Samples interleave A and B so drift
+//! hits both arms equally; the medians land in `results/BENCH_obs.json`
+//! with the relative `overhead_pct`. Acceptance target: < 2 %.
 //!
 //! The criterion groups (skipped in smoke mode) keep the finer-grained
 //! comparisons:
@@ -67,12 +66,12 @@ fn median(samples: &mut [f64]) -> f64 {
     samples[samples.len() / 2]
 }
 
-/// The headline A/B: everything-off baseline vs the shipping default with
-/// the telemetry endpoint disabled (flight ring armed, nothing else).
-fn measure_telemetry_disabled_tax() {
+/// The headline A/B: everything-off baseline vs the harness default
+/// (flight ring armed, no event recorder).
+fn measure_harness_default_tax() {
     lori_obs::uninstall();
     let mut baseline = Vec::with_capacity(AB_PAIRS);
-    let mut disabled = Vec::with_capacity(AB_PAIRS);
+    let mut armed = Vec::with_capacity(AB_PAIRS);
     // One warm-up pass per arm so neither pays first-touch costs.
     lori_obs::flight::disable();
     sample();
@@ -82,18 +81,18 @@ fn measure_telemetry_disabled_tax() {
         lori_obs::flight::disable();
         baseline.push(timed(sample));
         lori_obs::flight::enable(lori_obs::flight::DEFAULT_CAPACITY);
-        disabled.push(timed(sample));
+        armed.push(timed(sample));
     }
     lori_obs::flight::disable();
 
     let baseline_s = median(&mut baseline);
-    let disabled_s = median(&mut disabled);
-    let path = write_bench_obs(AB_PAIRS, baseline_s, disabled_s);
+    let armed_s = median(&mut armed);
+    let path = write_bench_obs(AB_PAIRS, baseline_s, armed_s);
     println!(
-        "BENCH_obs: baseline {:.6}s, telemetry-disabled {:.6}s ({:+.3}%) -> {}",
+        "BENCH_obs: baseline {:.6}s, harness default {:.6}s ({:+.3}%) -> {}",
         baseline_s,
-        disabled_s,
-        (disabled_s - baseline_s) / baseline_s.max(1e-12) * 100.0,
+        armed_s,
+        (armed_s - baseline_s) / baseline_s.max(1e-12) * 100.0,
         path.display()
     );
 }
@@ -195,7 +194,7 @@ fn bench_jsonl_paths(c: &mut Criterion) {
 criterion_group!(benches, bench_obs_overhead, bench_jsonl_paths);
 
 fn main() {
-    measure_telemetry_disabled_tax();
+    measure_harness_default_tax();
     if smoke_mode() {
         return;
     }

@@ -16,13 +16,9 @@
 //! written atomically (temp file + rename), so a killed run never leaves a
 //! truncated manifest or event log under its final name.
 //!
-//! The harness also arms the live telemetry plane: the flight recorder
-//! (on by default, `LORI_FLIGHT=off` disables; dumps the recent-event ring
-//! to `results/<name>.flight.json` on panic or quarantine) and, when
-//! `LORI_TELEMETRY=<addr>` is set, the in-process HTTP endpoint serving
-//! `/metrics`, `/status`, `/progress`, and `/flight` while the run
-//! executes. Telemetry is read-only bookkeeping outside the metrics
-//! registry, so enabling it never changes a run's artifacts.
+//! The harness also arms the crash flight recorder (on by default,
+//! `LORI_FLIGHT=off` disables): it keeps a ring of recent events and dumps
+//! it to `results/<name>.flight.json` on panic or quarantine.
 
 use lori_obs as obs;
 use obs::Value;
@@ -109,12 +105,6 @@ impl Harness {
             obs::flight::set_dump_path(dir.join(format!("{name}.flight.json")));
             obs::flight::install_panic_hook();
         }
-        match obs::telemetry::init_from_env() {
-            Ok(Some(addr)) => eprintln!("telemetry: listening on {addr}"),
-            Ok(None) => {}
-            Err(err) => eprintln!("warning: cannot start LORI_TELEMETRY endpoint: {err}"),
-        }
-        obs::telemetry::set_run(name);
         let mut manifest = obs::RunManifest::start(name);
         manifest.config("obs", events_path.is_some());
         // The golden-model cache mode changes wall time, never bytes; it is
@@ -160,8 +150,6 @@ impl Harness {
     /// Runs `f` as a named, timed phase: it gets a top-level span in the
     /// event stream and a `phases[]` entry in the manifest.
     pub fn phase<T>(&mut self, label: &'static str, f: impl FnOnce() -> T) -> T {
-        obs::telemetry::set_phase(label);
-        obs::telemetry::set_manifest_json(self.manifest.to_json());
         let _span = obs::span(label);
         let t0 = Instant::now();
         let out = f();
@@ -204,9 +192,8 @@ impl Harness {
         obs::uninstall();
         // Derived health ratios, computed after the recorder is gone so
         // they land in the manifest snapshot without touching the event
-        // stream (artifacts stay identical with telemetry on or off).
-        // Read through a snapshot rather than `obs::counter`, which would
-        // register absent counters at zero in every manifest.
+        // stream. Read through a snapshot rather than `obs::counter`,
+        // which would register absent counters at zero in every manifest.
         let counters = obs::registry().snapshot();
         let get = |name: &str| {
             counters
@@ -237,8 +224,6 @@ impl Harness {
             self.manifest.config.push(("checks".to_owned(), checks));
         }
         self.manifest.finish(obs::registry().snapshot());
-        obs::telemetry::set_phase("finished");
-        obs::telemetry::set_manifest_json(self.manifest.to_json());
         let path = results_dir().join(format!("{}.manifest.json", self.name));
         self.manifest.write(&path)?;
         print!("manifest: {}", path.display());

@@ -7,7 +7,6 @@
 
 pub mod harness;
 pub mod perf;
-pub mod progress;
 pub mod resume;
 
 pub use harness::Harness;
@@ -15,7 +14,6 @@ pub use perf::{
     write_bench_arch, write_bench_cache, write_bench_obs, write_bench_sta, write_bench_sweep,
     ArchGroup, CacheTiming, StaDesign, SweepTiming,
 };
-pub use progress::Progress;
 pub use resume::{resumable_sweep, SweepOutcome};
 
 use std::fmt::Write as _;
@@ -80,9 +78,9 @@ pub fn fmt_prob(p: f64) -> String {
 }
 
 /// Monte Carlo runs per point: `LORI_RUNS` when set to a positive integer,
-/// else `default`. Lets CI smoke jobs stretch a sub-10 ms sweep long
-/// enough to scrape mid-run (the WAL fingerprint includes the run count,
-/// so an overridden run never resumes from mismatched checkpoints).
+/// else `default`. Lets tests resize a sweep (the WAL fingerprint includes
+/// the run count, so an overridden run never resumes from mismatched
+/// checkpoints).
 #[must_use]
 pub fn runs_from_env(default: usize) -> usize {
     std::env::var("LORI_RUNS")

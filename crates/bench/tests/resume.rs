@@ -181,12 +181,10 @@ fn injected_panic_quarantines_one_point_and_spares_the_rest() {
 
 /// Inherited `LORI_*` knobs stripped from the spawned `exp-fig5` so the
 /// test's own settings are the whole story.
-const STRIPPED_KNOBS: [&str; 6] = [
+const STRIPPED_KNOBS: [&str; 4] = [
     "LORI_THREADS",
     "LORI_FAULT_PLAN",
     "LORI_RECOVERY",
-    "LORI_TELEMETRY",
-    "LORI_PROGRESS",
     "LORI_OBS",
 ];
 

@@ -167,18 +167,14 @@ fn build_library(
         .flat_map(|kind| DRIVE_STRENGTHS.into_iter().map(move |drive| (kind, drive)))
         .collect();
     let _span = lori_obs::span("circuit.characterize_library");
-    let progress = lori_obs::Progress::start("characterize", catalog.len() as u64);
     // `panic@circuit.characterize:<N>` faults the N-th catalog cell; the
     // index is the deterministic catalog position, so the same cell faults
     // under any worker count.
     let cells = lori_par::par_map(par, &catalog, |ci, &(kind, drive)| {
         #[allow(clippy::cast_possible_truncation)]
         lori_fault::check_panic("circuit.characterize", ci as u64);
-        let cell = characterize_cell(sim, kind, drive, corner, she);
-        progress.tick();
-        cell
+        characterize_cell(sim, kind, drive, corner, she)
     });
-    drop(progress);
     let mut lib = Library::new();
     for cell in cells {
         lib.add(cell?)?;

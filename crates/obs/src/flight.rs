@@ -4,10 +4,10 @@
 //!
 //! When enabled, every span enter/exit and gauge set also lands in the
 //! calling thread's ring, overwriting the oldest entry once the ring is
-//! full. The rings are snapshottable at any moment (the telemetry
-//! endpoint's `/flight` route) and dumped to a JSON "black box" file on
-//! panic or quarantine, so a crashed run leaves its last few thousand
-//! events next to the WAL even when full event recording was off.
+//! full. The rings are snapshottable at any moment and dumped to a JSON
+//! "black box" file on panic or quarantine, so a crashed run leaves its
+//! last few thousand events next to the WAL even when full event recording
+//! was off.
 //!
 //! Entries are fixed-size (`&'static str` name + five numbers — no
 //! allocation per event) and each ring is guarded by its own mutex that

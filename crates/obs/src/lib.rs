@@ -14,11 +14,8 @@
 //! 3. **Run manifests** ([`RunManifest`]): a JSON document per experiment
 //!    run with seed, config, code version, wall time, per-phase breakdown,
 //!    and a metrics snapshot.
-//! 4. **The live tier**: a [`flight`] recorder (per-thread ring buffers of
-//!    recent events, dumped on panic/quarantine), [`progress`] heartbeats
-//!    (`LORI_PROGRESS`), and a [`telemetry`] HTTP endpoint
-//!    (`LORI_TELEMETRY`) serving Prometheus metrics, JSON status, live
-//!    progress, and flight snapshots while a run executes.
+//! 4. **Crash flight recorder** ([`flight`]): per-thread ring buffers of
+//!    recent events, dumped on panic or quarantine.
 //!
 //! Install a [`JsonlRecorder`] to stream every event to an append-only
 //! `.events.jsonl` file:
@@ -42,10 +39,8 @@ pub(crate) mod fsio;
 pub mod json;
 pub mod manifest;
 pub mod metrics;
-pub mod progress;
 pub mod recorder;
 pub mod span;
-pub mod telemetry;
 pub mod trace;
 
 pub use json::Value;
@@ -54,10 +49,8 @@ pub use metrics::{
     counter, gauge, histogram, registry, Counter, Gauge, Histogram, MetricSnapshot, MetricValue,
     Registry,
 };
-pub use progress::{progress_enabled, Progress, ProgressSnapshot};
 pub use recorder::{Event, JsonlRecorder, MemoryRecorder, NullRecorder, Recorder};
 pub use span::{in_span, span, span_with, Span};
-pub use telemetry::TelemetryServer;
 pub use trace::{ContextGuard, TraceContext};
 
 use std::sync::atomic::{AtomicBool, Ordering};
