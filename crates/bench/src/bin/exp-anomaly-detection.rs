@@ -15,6 +15,7 @@ use lori_ml::data::{Dataset, StandardScaler};
 use lori_ml::metrics::{f1_score, precision, recall};
 use lori_ml::mlp::{Mlp, MlpConfig};
 use lori_ml::traits::Classifier;
+use lori_obs::fsio::atomic_write;
 use lori_obs::Value;
 
 /// Collects register snapshots every `stride` instructions of a run,
@@ -165,8 +166,7 @@ fn main() {
         ),
     ]);
     let path = results_dir().join("exp-anomaly-detection.metrics.json");
-    if let Err(err) = lori_fault::atomic_write(&path, format!("{}\n", metrics.to_json()).as_bytes())
-    {
+    if let Err(err) = atomic_write(&path, format!("{}\n", metrics.to_json()).as_bytes()) {
         eprintln!("warning: metrics artifact not written: {err}");
     }
 

@@ -14,6 +14,7 @@ use lori_circuit::spicelike::GoldenSimulator;
 use lori_circuit::sta::{StaConfig, StaEngine};
 use lori_circuit::tech::TechParams;
 use lori_core::stats::{max, mean, min, percentile, std_dev};
+use lori_obs::fsio::atomic_write;
 use lori_obs::Value;
 use std::collections::BTreeMap;
 
@@ -131,7 +132,7 @@ fn main() {
     // counts must produce byte-identical files — CI compares them directly.
     let doc = Value::Arr(she.iter().map(|&v| Value::from(v)).collect());
     let path = results_dir().join("exp-fig2.she.json");
-    match lori_fault::atomic_write(&path, format!("{}\n", doc.to_json()).as_bytes()) {
+    match atomic_write(&path, format!("{}\n", doc.to_json()).as_bytes()) {
         Ok(()) => println!("she data: {}", path.display()),
         Err(err) => eprintln!("warning: she data not written: {err}"),
     }

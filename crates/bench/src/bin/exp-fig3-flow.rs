@@ -18,6 +18,7 @@ use lori_circuit::netlist::processor_datapath;
 use lori_circuit::spicelike::GoldenSimulator;
 use lori_circuit::tech::TechParams;
 use lori_core::units::Celsius;
+use lori_obs::fsio::atomic_write;
 use lori_obs::Value;
 use std::time::Instant;
 
@@ -200,7 +201,7 @@ fn main() {
         ),
     ]);
     let path = results_dir().join("exp-fig3-flow.guardbands.json");
-    match lori_fault::atomic_write(&path, format!("{}\n", doc.to_json()).as_bytes()) {
+    match atomic_write(&path, format!("{}\n", doc.to_json()).as_bytes()) {
         Ok(()) => println!("guardband data: {}", path.display()),
         Err(err) => eprintln!("warning: guardband data not written: {err}"),
     }

@@ -3,8 +3,8 @@
 //! Paper claims: negligible below 1e-6; rapid growth beyond; more than 10
 //! rollbacks per segment past 1e-5 ("formidable to deal with").
 
-use lori_bench::{fmt, fmt_prob, render_table, resumable_sweep, runs_from_env, Harness};
-use lori_ftsched::montecarlo::{paper_probability_axis, SweepConfig};
+use lori_bench::{fmt, fmt_prob, render_table, runs_from_env, write_points_artifact, Harness};
+use lori_ftsched::montecarlo::{paper_probability_axis, sweep, SweepConfig};
 use lori_ftsched::workload::adpcm_reference_trace;
 
 fn main() {
@@ -27,13 +27,10 @@ fn main() {
     // `phases[].wall_ms` records the parallel wall time.
     h.config("threads", lori_par::global().threads() as u64);
 
-    // Resumable: completed points are replayed from results/<name>.wal.jsonl
-    // and a panic/NaN at one point is quarantined under LORI_RECOVERY.
-    let outcome = resumable_sweep(&mut h, &axis, &trace, &config).expect("sweep");
-    if outcome.replayed > 0 {
-        println!("resume: {} points replayed from WAL", outcome.replayed);
-    }
-    let points = outcome.completed();
+    let points = h
+        .phase("sweep", || sweep(&axis, &trace, &config))
+        .expect("sweep");
+    write_points_artifact(h.name(), &points);
 
     h.phase("report", || {
         let rows: Vec<Vec<String>> = points

@@ -5,9 +5,9 @@
 //! 1e-6..1e-5; within the window conservative algorithms hold higher hit
 //! rates; beyond the wall every algorithm converges to zero.
 
-use lori_bench::{fmt, fmt_prob, render_table, resumable_sweep, runs_from_env, Harness};
+use lori_bench::{fmt, fmt_prob, render_table, runs_from_env, write_points_artifact, Harness};
 use lori_ftsched::mitigation::BudgetAlgorithm;
-use lori_ftsched::montecarlo::{paper_probability_axis, SweepConfig};
+use lori_ftsched::montecarlo::{paper_probability_axis, sweep, SweepConfig};
 use lori_ftsched::workload::adpcm_reference_trace;
 
 fn main() {
@@ -25,12 +25,10 @@ fn main() {
     h.config("runs_per_point", config.runs as u64);
     // Parallel by default (LORI_THREADS workers), bit-identical to serial.
     h.config("threads", lori_par::global().threads() as u64);
-    // Resumable: a restart replays completed points from the WAL.
-    let outcome = resumable_sweep(&mut h, &axis, &trace, &config).expect("sweep");
-    if outcome.replayed > 0 {
-        println!("resume: {} points replayed from WAL", outcome.replayed);
-    }
-    let points = outcome.completed();
+    let points = h
+        .phase("sweep", || sweep(&axis, &trace, &config))
+        .expect("sweep");
+    write_points_artifact(h.name(), &points);
 
     h.phase("report", || {
         let rows: Vec<Vec<String>> = points

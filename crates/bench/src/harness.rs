@@ -2,9 +2,8 @@
 //!
 //! Every `exp-*` binary runs through a [`Harness`]: it prints the standard
 //! banner, installs a [`lori_obs::JsonlRecorder`] streaming to
-//! `results/<name>.events.jsonl` (disable with `LORI_OBS=off`), arms the
-//! `LORI_FAULT_PLAN` fault plan (if any), times each [`Harness::phase`],
-//! and on [`Harness::finish`] writes a [`lori_obs::RunManifest`] to
+//! `results/<name>.events.jsonl` (disable with `LORI_OBS=off`), times each
+//! [`Harness::phase`], and on [`Harness::finish`] writes a [`lori_obs::RunManifest`] to
 //! `results/<name>.manifest.json` with the seed, config summary, code
 //! version, per-phase wall times, shape-check outcomes, and a snapshot of
 //! every metric the instrumented layers aggregated during the run.
@@ -18,7 +17,7 @@
 //!
 //! The harness also arms the crash flight recorder (on by default,
 //! `LORI_FLIGHT=off` disables): it keeps a ring of recent events and dumps
-//! it to `results/<name>.flight.json` on panic or quarantine.
+//! it to `results/<name>.flight.json` on panic.
 
 use lori_obs as obs;
 use obs::Value;
@@ -51,8 +50,7 @@ pub struct Harness {
 }
 
 impl Harness {
-    /// Starts an experiment: banner, results dir, recorder, fault plan,
-    /// manifest.
+    /// Starts an experiment: banner, results dir, recorder, manifest.
     ///
     /// `name` keys the output files (`results/<name>.events.jsonl`,
     /// `results/<name>.manifest.json`); `id` and `title` feed the banner.
@@ -95,7 +93,7 @@ impl Harness {
             obs::install(Arc::new(obs::NullRecorder));
         }
         // Black box: keep a ring of recent events unless explicitly off,
-        // and dump it next to the other artifacts on panic/quarantine.
+        // and dump it next to the other artifacts on panic.
         if std::env::var_os("LORI_FLIGHT").is_none() {
             obs::flight::enable(obs::flight::DEFAULT_CAPACITY);
         } else {
@@ -111,17 +109,6 @@ impl Harness {
         // recorded (with the cache.* metric snapshot finish() takes) so a
         // perf-trajectory diff can tell a warm-cache run from a cold one.
         manifest.config("cache", lori_cache::mode_string());
-        match lori_fault::init_from_env() {
-            Ok(Some(plan)) => {
-                let unknown = plan.unknown_sites();
-                if !unknown.is_empty() {
-                    eprintln!("warning: fault plan names unknown sites: {unknown:?}");
-                }
-                manifest.config("fault_plan", plan.to_string_lossless());
-            }
-            Ok(None) => {}
-            Err(err) => eprintln!("warning: ignoring invalid LORI_FAULT_PLAN: {err}"),
-        }
         Harness {
             name: name.to_owned(),
             manifest,
@@ -190,8 +177,8 @@ impl Harness {
         }
         self.finished = true;
         obs::uninstall();
-        // Derived health ratios, computed after the recorder is gone so
-        // they land in the manifest snapshot without touching the event
+        // The derived cache hit rate, computed after the recorder is gone
+        // so it lands in the manifest snapshot without touching the event
         // stream. Read through a snapshot rather than `obs::counter`,
         // which would register absent counters at zero in every manifest.
         let counters = obs::registry().snapshot();
@@ -209,10 +196,6 @@ impl Harness {
         let misses = get("cache.misses");
         if hits + misses > 0 {
             obs::gauge("cache.hit_rate").set(ratio(hits, hits + misses));
-        }
-        let tasks = get("fault.tasks");
-        if tasks > 0 {
-            obs::gauge("fault.quarantine_rate").set(ratio(get("fault.quarantined"), tasks));
         }
         if !self.checks.is_empty() {
             let checks = Value::Obj(

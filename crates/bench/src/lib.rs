@@ -7,15 +7,15 @@
 
 pub mod harness;
 pub mod perf;
-pub mod resume;
 
 pub use harness::Harness;
 pub use perf::{
     write_bench_arch, write_bench_cache, write_bench_obs, write_bench_sta, write_bench_sweep,
     ArchGroup, CacheTiming, StaDesign, SweepTiming,
 };
-pub use resume::{resumable_sweep, SweepOutcome};
 
+use lori_ftsched::montecarlo::SweepPoint;
+use lori_obs::Value;
 use std::fmt::Write as _;
 
 /// Renders an ASCII table with a header row.
@@ -78,9 +78,7 @@ pub fn fmt_prob(p: f64) -> String {
 }
 
 /// Monte Carlo runs per point: `LORI_RUNS` when set to a positive integer,
-/// else `default`. Lets tests resize a sweep (the WAL fingerprint includes
-/// the run count, so an overridden run never resumes from mismatched
-/// checkpoints).
+/// else `default`. Lets tests resize a sweep.
 #[must_use]
 pub fn runs_from_env(default: usize) -> usize {
     std::env::var("LORI_RUNS")
@@ -88,6 +86,41 @@ pub fn runs_from_env(default: usize) -> usize {
         .and_then(|v| v.parse().ok())
         .filter(|&n| n > 0)
         .unwrap_or(default)
+}
+
+/// Writes the deterministic `results/<name>.points.json` artifact of a
+/// Fig. 5/6 sweep and prints its path. The file holds results only — no
+/// timestamps, versions or wall times — so runs that compute the same
+/// points produce byte-identical files at any worker count. A write
+/// failure is a warning: the sweep's printed results stand.
+pub fn write_points_artifact(name: &str, points: &[SweepPoint]) {
+    let point_value = |pt: &SweepPoint| {
+        Value::Obj(vec![
+            ("p".to_owned(), Value::from(pt.p)),
+            (
+                "avg_rollbacks_per_segment".to_owned(),
+                Value::from(pt.avg_rollbacks_per_segment),
+            ),
+            ("rollbacks_std".to_owned(), Value::from(pt.rollbacks_std)),
+            (
+                "hit_rate".to_owned(),
+                Value::Arr(pt.hit_rate.iter().map(|&h| Value::from(h)).collect()),
+            ),
+            ("cycle_overhead".to_owned(), Value::from(pt.cycle_overhead)),
+        ])
+    };
+    let doc = Value::Obj(vec![
+        ("exp".to_owned(), Value::from(name)),
+        (
+            "points".to_owned(),
+            Value::Arr(points.iter().map(point_value).collect()),
+        ),
+    ]);
+    let path = harness::results_dir().join(format!("{name}.points.json"));
+    match lori_obs::fsio::atomic_write(&path, format!("{}\n", doc.to_json()).as_bytes()) {
+        Ok(()) => println!("points: {}", path.display()),
+        Err(err) => eprintln!("warning: cannot write points artifact: {err}"),
+    }
 }
 
 /// Prints a standard experiment banner.

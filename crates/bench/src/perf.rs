@@ -8,6 +8,7 @@
 //! these files to see whether a change moved the hot path.
 
 use crate::harness::results_dir;
+use lori_obs::fsio::atomic_write;
 use lori_obs::Value;
 use std::path::PathBuf;
 
@@ -90,10 +91,10 @@ pub fn write_bench_sweep(
     let bytes = format!("{}\n", doc.to_json());
     // Atomic replace: a perf trajectory diff must never see a half-written
     // record from a killed bench run.
-    lori_fault::atomic_write(&path, bytes.as_bytes()).expect("write BENCH_sweep.json");
+    atomic_write(&path, bytes.as_bytes()).expect("write BENCH_sweep.json");
     // The per-core-count baseline slot (see the doc comment).
     let cores_slot = dir.join(format!("BENCH_sweep.cores-{cores}.json"));
-    lori_fault::atomic_write(&cores_slot, bytes.as_bytes()).expect("write BENCH_sweep cores slot");
+    atomic_write(&cores_slot, bytes.as_bytes()).expect("write BENCH_sweep cores slot");
     path
 }
 
@@ -162,8 +163,7 @@ pub fn write_bench_cache(
     std::fs::create_dir_all(&dir).expect("create results dir");
     let path = dir.join("BENCH_cache.json");
     // Atomic replace, same contract as BENCH_sweep.json.
-    lori_fault::atomic_write(&path, format!("{}\n", doc.to_json()).as_bytes())
-        .expect("write BENCH_cache.json");
+    atomic_write(&path, format!("{}\n", doc.to_json()).as_bytes()).expect("write BENCH_cache.json");
     path
 }
 
@@ -209,8 +209,7 @@ pub fn write_bench_obs(samples: usize, baseline_s: f64, armed_s: f64) -> PathBuf
     std::fs::create_dir_all(&dir).expect("create results dir");
     let path = dir.join("BENCH_obs.json");
     // Atomic replace, same contract as BENCH_sweep.json.
-    lori_fault::atomic_write(&path, format!("{}\n", doc.to_json()).as_bytes())
-        .expect("write BENCH_obs.json");
+    atomic_write(&path, format!("{}\n", doc.to_json()).as_bytes()).expect("write BENCH_obs.json");
     path
 }
 
@@ -289,8 +288,7 @@ pub fn write_bench_arch(lanes: usize, ff_vulnerability: ArchGroup, anomaly: Arch
     std::fs::create_dir_all(&dir).expect("create results dir");
     let path = dir.join("BENCH_arch.json");
     // Atomic replace, same contract as BENCH_sweep.json.
-    lori_fault::atomic_write(&path, format!("{}\n", doc.to_json()).as_bytes())
-        .expect("write BENCH_arch.json");
+    atomic_write(&path, format!("{}\n", doc.to_json()).as_bytes()).expect("write BENCH_arch.json");
     path
 }
 
@@ -404,8 +402,7 @@ pub fn write_bench_sta(designs: &[StaDesign]) -> PathBuf {
     std::fs::create_dir_all(&dir).expect("create results dir");
     let path = dir.join("BENCH_sta.json");
     // Atomic replace, same contract as BENCH_sweep.json.
-    lori_fault::atomic_write(&path, format!("{}\n", doc.to_json()).as_bytes())
-        .expect("write BENCH_sta.json");
+    atomic_write(&path, format!("{}\n", doc.to_json()).as_bytes()).expect("write BENCH_sta.json");
     path
 }
 

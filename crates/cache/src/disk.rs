@@ -11,15 +11,15 @@
 //! checksum : u64      FNV-64 over everything above
 //! ```
 //!
-//! Files are written atomically ([`lori_fault::atomic_write`]: temp sibling
-//! then rename) so a crash mid-write leaves either the old entry or none. A
-//! reader verifies size, magic, format version, checksum, and that the
-//! stored key bytes equal the queried key; any mismatch is reported as
+//! Files are written atomically ([`lori_obs::fsio::atomic_write`]: temp
+//! sibling then rename) so a crash mid-write leaves either the old entry or
+//! none. A reader verifies size, magic, format version, checksum, and that
+//! the stored key bytes equal the queried key; any mismatch is reported as
 //! [`ReadOutcome::Corrupt`] and the caller recomputes — a damaged entry is
 //! never trusted.
 
 use crate::key::CacheKey;
-use lori_fault::{atomic_write, fnv64};
+use lori_obs::fsio::{atomic_write, fnv64};
 use std::io;
 use std::path::{Path, PathBuf};
 

@@ -2,17 +2,16 @@
 //!
 //! A key is built by appending every input of the memoized function to a
 //! byte buffer in a fixed order and a fixed little-endian encoding, then
-//! hashing the buffer with FNV-64 ([`lori_fault::fnv64`] — the same
-//! fingerprint primitive the WAL uses). The *full* byte buffer is retained
-//! alongside the hash so the store can detect hash collisions instead of
-//! silently returning a wrong entry.
+//! hashing the buffer with FNV-64 ([`lori_obs::fsio::fnv64`]). The *full*
+//! byte buffer is retained alongside the hash so the store can detect hash
+//! collisions instead of silently returning a wrong entry.
 //!
 //! Floats are encoded via [`f64::to_bits`], so two inputs that compare
 //! equal but have different bit patterns (`0.0` vs `-0.0`, distinct NaNs)
 //! produce *different* keys. That is the conservative direction: a spurious
 //! miss costs a recompute, a spurious hit would corrupt results.
 
-use lori_fault::fnv64;
+use lori_obs::fsio::fnv64;
 
 /// A finished content-addressed key: the FNV-64 digest plus the canonical
 /// bytes it was computed from.

@@ -10,8 +10,8 @@
 //!
 //! 1. **Keys** ([`KeyBuilder`] / [`CacheKey`]): a canonical little-endian
 //!    byte serialization of every input (floats by exact bit pattern),
-//!    hashed with the same FNV-64 the `lori-fault` WAL uses. The full key
-//!    bytes travel with the hash, so digest collisions are detected and
+//!    hashed with FNV-64 ([`lori_obs::fsio::fnv64`]). The full key bytes
+//!    travel with the hash, so digest collisions are detected and
 //!    recomputed — never trusted.
 //! 2. **Store** ([`Cache`]): a sharded, lock-striped in-process map safe
 //!    under `lori-par`, plus an optional disk tier of atomically written,

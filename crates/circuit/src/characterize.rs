@@ -73,7 +73,6 @@ fn characterize_cell(
                 });
             }
             if !t.out_slew_ps.is_finite() {
-                lori_fault::detected("circuit.characterize");
                 return Err(CircuitError::NonFinite {
                     site: "circuit.characterize",
                     what: "out_slew_ps",
@@ -167,12 +166,7 @@ fn build_library(
         .flat_map(|kind| DRIVE_STRENGTHS.into_iter().map(move |drive| (kind, drive)))
         .collect();
     let _span = lori_obs::span("circuit.characterize_library");
-    // `panic@circuit.characterize:<N>` faults the N-th catalog cell; the
-    // index is the deterministic catalog position, so the same cell faults
-    // under any worker count.
-    let cells = lori_par::par_map(par, &catalog, |ci, &(kind, drive)| {
-        #[allow(clippy::cast_possible_truncation)]
-        lori_fault::check_panic("circuit.characterize", ci as u64);
+    let cells = lori_par::par_map(par, &catalog, |_, &(kind, drive)| {
         characterize_cell(sim, kind, drive, corner, she)
     });
     let mut lib = Library::new();

@@ -71,12 +71,6 @@ impl Lut2d {
     /// Bilinear interpolation; queries outside the grid clamp to the border
     /// (conservative behaviour for timing: the characterized corners bound
     /// the physical operating space).
-    ///
-    /// This is the `circuit.lut` fault-injection site: an armed
-    /// `nan@circuit.lut` directive poisons the interpolated value at its
-    /// configured rate, modelling a corrupted library read. Downstream
-    /// consumers (STA, characterization) are expected to catch the NaN at
-    /// their boundary and return a typed error.
     #[must_use]
     pub fn lookup(&self, slew: f64, load: f64) -> f64 {
         let (i0, i1, ti) = bracket(&self.slews, slew);
@@ -87,7 +81,7 @@ impl Lut2d {
         let v11 = self.values[i1][j1];
         let a = v00 + (v01 - v00) * tj;
         let b = v10 + (v11 - v10) * tj;
-        lori_fault::poison_f64("circuit.lut", a + (b - a) * ti)
+        a + (b - a) * ti
     }
 
     /// Maximum table entry (used for worst-case corner reporting).

@@ -187,18 +187,10 @@ impl MlCharacterizer {
                     continue; // dead corner sample; skip
                 }
                 xs.push(vec![slew, load, dt, dvth]);
-                // `nan@circuit.mlchar` poisons golden training targets;
-                // the guard below refuses to fit on corrupted data.
-                delays.push(lori_fault::poison_f64("circuit.mlchar", t.delay_ps));
-                slews.push(lori_fault::poison_f64("circuit.mlchar", t.out_slew_ps));
+                delays.push(t.delay_ps);
+                slews.push(t.out_slew_ps);
             }
-            if delays.iter().chain(&slews).any(|v| !v.is_finite()) {
-                lori_fault::detected("circuit.mlchar");
-                return Err(CircuitError::NonFinite {
-                    site: "circuit.mlchar",
-                    what: "training target",
-                });
-            }
+            check_training_targets(&delays, &slews)?;
             let delay_ds = Dataset::from_rows(xs.clone(), delays)
                 .map_err(|e| CircuitError::Training(e.to_string()))?;
             let slew_ds =
@@ -369,6 +361,18 @@ pub fn golden_instance_library(
         .collect()
 }
 
+/// Refuses to fit on non-finite golden training targets: a corrupted
+/// sample must surface as a typed error, not as a silently skewed model.
+fn check_training_targets(delays: &[f64], slews: &[f64]) -> Result<(), CircuitError> {
+    if delays.iter().chain(slews).any(|v| !v.is_finite()) {
+        return Err(CircuitError::NonFinite {
+            site: "circuit.mlchar",
+            what: "training target",
+        });
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -493,5 +497,26 @@ mod tests {
             ..small_config()
         };
         assert!(MlCharacterizer::train(sim, lib, &[inv], &bad_range).is_err());
+    }
+
+    #[test]
+    fn non_finite_training_targets_refuse_to_fit() {
+        assert_eq!(check_training_targets(&[10.0, 12.5], &[4.0, 5.0]), Ok(()));
+        for (delays, slews) in [
+            ([10.0, f64::NAN], [4.0, 5.0]),
+            ([10.0, 12.5], [f64::INFINITY, 5.0]),
+        ] {
+            let err = check_training_targets(&delays, &slews).expect_err("must refuse");
+            assert!(
+                matches!(
+                    err,
+                    CircuitError::NonFinite {
+                        site: "circuit.mlchar",
+                        ..
+                    }
+                ),
+                "got {err}"
+            );
+        }
     }
 }

@@ -197,11 +197,10 @@ fn eval_instance(
         Some(t) => (t.delay_ps, t.out_slew_ps),
         None => lib.cell(inst.cell).timing(in_slew, load),
     };
-    // Layer-boundary NaN guard: a corrupted library read (real, or an
-    // injected nan@circuit.lut) must surface as a typed error here,
-    // not silently propagate NaN arrivals into timing reports.
+    // Layer-boundary NaN guard: a corrupted library read must surface as
+    // a typed error here, not silently propagate NaN arrivals into timing
+    // reports.
     if !delay.is_finite() || !out_slew.is_finite() {
-        lori_fault::detected("circuit.lut");
         return Err(CircuitError::NonFinite {
             site: "circuit.lut",
             what: if delay.is_finite() {
@@ -919,6 +918,37 @@ mod tests {
             assert!(report.instance_load_ff[i] > 0.0);
             assert!(report.instance_input_slew_ps[i] > 0.0);
             assert!(report.instance_delay_ps[i] > 0.0);
+        }
+    }
+
+    #[test]
+    fn nan_lut_entry_becomes_a_typed_sta_error() {
+        let nl = ripple_carry_adder(lib(), 4).unwrap();
+        // Rebuild the library in the same order (so the netlist's cell ids
+        // still resolve) with NaN entries in one table kind at a time.
+        let poisoned = |delay: bool| {
+            let mut bad = Library::new();
+            for (_, cell) in lib().iter() {
+                let mut cell = cell.clone();
+                if delay {
+                    cell.delay = cell.delay.map(|_| f64::NAN);
+                } else {
+                    cell.out_slew = cell.out_slew.map(|_| f64::NAN);
+                }
+                bad.add(cell).unwrap();
+            }
+            bad
+        };
+        for (delay, what) in [(true, "delay"), (false, "out_slew")] {
+            let err = run_sta(&nl, &poisoned(delay), &StaConfig::default())
+                .expect_err("NaN must not pass STA");
+            assert_eq!(
+                err,
+                CircuitError::NonFinite {
+                    site: "circuit.lut",
+                    what
+                }
+            );
         }
     }
 }

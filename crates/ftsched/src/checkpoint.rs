@@ -9,6 +9,7 @@ use crate::error::FtError;
 use crate::error_model::ErrorModel;
 use lori_core::units::Cycles;
 use lori_core::Rng;
+use lori_obs::fsio::fnv64;
 
 /// Checkpoint/rollback cost parameters (defaults from the paper, which takes
 /// them from OCEAN \[51\]).
@@ -225,11 +226,7 @@ impl CheckpointState {
     /// Serialized size in bytes: magic + 4 fields + checksum.
     pub const WIRE_SIZE: usize = 4 + 4 * 8 + 8;
 
-    /// Serializes the state with its checksum appended. This is the
-    /// `checkpoint.state` injection site: an armed
-    /// `bitflip@checkpoint.state` directive flips one seed-deterministic
-    /// bit of the output, which [`CheckpointState::from_bytes`] must then
-    /// detect.
+    /// Serializes the state with its checksum appended.
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut bytes = Vec::with_capacity(Self::WIRE_SIZE);
@@ -242,9 +239,8 @@ impl CheckpointState {
         ] {
             bytes.extend_from_slice(&field.to_le_bytes());
         }
-        let crc = lori_fault::fnv64(&bytes);
+        let crc = fnv64(&bytes);
         bytes.extend_from_slice(&crc.to_le_bytes());
-        lori_fault::corrupt_bytes("checkpoint.state", &mut bytes);
         bytes
     }
 
@@ -253,13 +249,9 @@ impl CheckpointState {
     /// # Errors
     ///
     /// [`FtError::CorruptCheckpoint`] when the buffer is truncated, the
-    /// magic is wrong, or the checksum does not match. Detections are
-    /// counted under the `fault.detected` metric.
+    /// magic is wrong, or the checksum does not match.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, FtError> {
-        let corrupt = |reason| {
-            lori_fault::detected("checkpoint.state");
-            Err(FtError::CorruptCheckpoint { reason })
-        };
+        let corrupt = |reason| Err(FtError::CorruptCheckpoint { reason });
         if bytes.len() != Self::WIRE_SIZE {
             return corrupt("truncated");
         }
@@ -268,7 +260,7 @@ impl CheckpointState {
         }
         let payload = &bytes[..Self::WIRE_SIZE - 8];
         let stored = u64::from_le_bytes(bytes[Self::WIRE_SIZE - 8..].try_into().expect("8 bytes"));
-        if lori_fault::fnv64(payload) != stored {
+        if fnv64(payload) != stored {
             return corrupt("checksum mismatch");
         }
         let field = |i: usize| {
@@ -433,16 +425,8 @@ mod tests {
         }
     }
 
-    /// Serialization must run clean here; holding an inert plan takes the
-    /// process-wide activation lock so a concurrently running injection
-    /// test cannot corrupt these bytes.
-    fn inert_guard() -> lori_fault::PlanGuard {
-        lori_fault::activate(&lori_fault::FaultPlan::parse("panic@checkpoint.state:0").unwrap())
-    }
-
     #[test]
     fn checkpoint_state_round_trips() {
-        let _guard = inert_guard();
         let state = sample_state();
         let bytes = state.to_bytes();
         assert_eq!(bytes.len(), CheckpointState::WIRE_SIZE);
@@ -451,7 +435,6 @@ mod tests {
 
     #[test]
     fn checkpoint_state_detects_any_single_bit_flip() {
-        let _guard = inert_guard();
         let bytes = sample_state().to_bytes();
         for bit in 0..bytes.len() * 8 {
             let mut corrupted = bytes.clone();
@@ -466,7 +449,6 @@ mod tests {
 
     #[test]
     fn checkpoint_state_detects_truncation() {
-        let _guard = inert_guard();
         let bytes = sample_state().to_bytes();
         let err = CheckpointState::from_bytes(&bytes[..bytes.len() - 1]).unwrap_err();
         assert_eq!(
@@ -475,17 +457,5 @@ mod tests {
                 reason: "truncated"
             }
         );
-    }
-
-    #[test]
-    fn injected_bitflip_is_detected_on_restore() {
-        // An armed bitflip@checkpoint.state corrupts exactly the
-        // serialization path; restore must convert it into a typed error,
-        // never silently resume from bad state.
-        let plan = lori_fault::FaultPlan::parse("bitflip@checkpoint.state:seed=9").unwrap();
-        let _guard = lori_fault::activate(&plan);
-        let bytes = sample_state().to_bytes();
-        let err = CheckpointState::from_bytes(&bytes).expect_err("corruption must be caught");
-        assert!(matches!(err, FtError::CorruptCheckpoint { .. }));
     }
 }

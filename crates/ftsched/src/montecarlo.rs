@@ -4,10 +4,8 @@
 //!
 //! Every point is a pure function of `(axis index, config, trace)` — the
 //! per-point RNG stream is derived from the seed and the point's index,
-//! never from timing or worker identity. That purity is what the layers
-//! above stack execution modes on: `lori_par::par_map` fans points out
-//! over threads and `lori-bench`'s resumable sweep replays them from a
-//! WAL — both producing bit-identical results.
+//! never from timing or worker identity — so `lori_par::par_map` fans
+//! points out over threads with bit-identical results.
 
 use crate::checkpoint::CheckpointSystem;
 use crate::error::FtError;
@@ -144,17 +142,12 @@ pub fn sweep_with(
         .collect()
 }
 
-/// One probability point's unit of work: its index on the axis, its
-/// probability, and the RNG stream that was split off the sweep root for
-/// it. Tasks are produced by [`point_tasks`] and executed by
-/// [`run_point`]; resumable harnesses schedule any subset of them in any
-/// order without changing results.
+/// One probability point's unit of work: its probability and the RNG
+/// stream that was split off the sweep root for it. Tasks are produced by
+/// [`point_tasks`] and executed by [`run_point`].
 #[derive(Debug, Clone)]
-pub struct PointTask {
-    /// Index of this point on the probability axis.
-    pub index: usize,
-    /// The per-cycle error probability.
-    pub p: f64,
+struct PointTask {
+    p: f64,
     errors: ErrorModel,
     rng: Rng,
 }
@@ -167,7 +160,7 @@ pub struct PointTask {
 /// # Errors
 ///
 /// Same as [`SweepConfig::validate`].
-pub fn point_tasks(
+fn point_tasks(
     p_values: &[f64],
     trace: &[Cycles],
     config: &SweepConfig,
@@ -181,7 +174,6 @@ pub fn point_tasks(
             #[allow(clippy::cast_possible_truncation)]
             let rng = root.split(pi as u64);
             Ok(PointTask {
-                index: pi,
                 p,
                 errors: ErrorModel::new(p)?,
                 rng,
@@ -267,23 +259,14 @@ pub fn observable_rollback_caps(trace: &[Cycles], config: &SweepConfig) -> Vec<u
 /// [`observable_rollback_caps`]); the returned [`SweepPoint`] statistics
 /// keep the raw Eq. (2) samples.
 ///
-/// This is also a fault-injection site: `panic@sweep.point:<index>` panics
-/// when this task's index matches, and `nan@sweep.point` poisons the
-/// accumulated cycle total, which the non-finite guard below converts into
-/// a typed [`FtError::NonFinite`] instead of letting NaN leak into
-/// artifacts.
-///
 /// # Errors
 ///
-/// [`FtError::NonFinite`] when a per-point statistic comes out non-finite
-/// (injected or real).
-pub fn run_point(
+/// [`FtError::NonFinite`] when a per-point statistic comes out non-finite.
+fn run_point(
     task: &PointTask,
     trace: &[Cycles],
     config: &SweepConfig,
 ) -> Result<SweepPoint, FtError> {
-    #[allow(clippy::cast_possible_truncation)]
-    lori_fault::check_panic("sweep.point", task.index as u64);
     let _point_span = lori_obs::span_with("ftsched.sweep.point", task.p);
     let wcet_work = trace.iter().copied().max().ok_or(FtError::EmptyTrace)?;
     let systems: Vec<MitigationSystem> = BudgetAlgorithm::ALL
@@ -341,7 +324,6 @@ pub fn run_point(
         #[allow(clippy::cast_precision_loss)]
         rollback_runs.push(run_rollbacks as f64 / trace.len() as f64);
     }
-    cycles_actual = lori_fault::poison_f64("sweep.point", cycles_actual);
     lori_obs::counter("ftsched.rollbacks").incr(point_rollbacks);
     lori_obs::counter("ftsched.deadline_misses")
         .incr(4 * segments_total - hits.iter().sum::<u64>());
@@ -354,20 +336,24 @@ pub fn run_point(
         hits[2] as f64 / per_alg_total,
         hits[3] as f64 / per_alg_total,
     ];
-    let point = SweepPoint {
+    check_finite(SweepPoint {
         p: task.p,
         avg_rollbacks_per_segment: rollback_runs.mean(),
         rollbacks_std: rollback_runs.std_dev(),
         hit_rate,
         cycle_overhead: cycles_actual / cycles_fault_free - 1.0,
-    };
+    })
+}
+
+/// Passes `point` through only when every statistic is finite, so a NaN
+/// or infinity surfaces as a typed error instead of leaking into artifacts.
+fn check_finite(point: SweepPoint) -> Result<SweepPoint, FtError> {
     for (what, v) in [
         ("avg_rollbacks_per_segment", point.avg_rollbacks_per_segment),
         ("rollbacks_std", point.rollbacks_std),
         ("cycle_overhead", point.cycle_overhead),
     ] {
         if !v.is_finite() {
-            lori_fault::detected("sweep.point");
             return Err(FtError::NonFinite {
                 site: "sweep.point",
                 what,
@@ -375,7 +361,6 @@ pub fn run_point(
         }
     }
     if point.hit_rate.iter().any(|h| !h.is_finite()) {
-        lori_fault::detected("sweep.point");
         return Err(FtError::NonFinite {
             site: "sweep.point",
             what: "hit_rate",
@@ -577,5 +562,39 @@ mod tests {
         for w in axis.windows(2) {
             assert!(w[1] > w[0]);
         }
+    }
+
+    #[test]
+    fn non_finite_point_becomes_a_typed_error() {
+        let finite = SweepPoint {
+            p: 1e-6,
+            avg_rollbacks_per_segment: 0.13,
+            rollbacks_std: 0.05,
+            hit_rate: [0.9, 0.95, 0.99, 1.0],
+            cycle_overhead: 0.19,
+        };
+        assert_eq!(check_finite(finite.clone()), Ok(finite.clone()));
+        let nan_overhead = SweepPoint {
+            cycle_overhead: f64::NAN,
+            ..finite.clone()
+        };
+        assert_eq!(
+            check_finite(nan_overhead),
+            Err(FtError::NonFinite {
+                site: "sweep.point",
+                what: "cycle_overhead"
+            })
+        );
+        let nan_hit = SweepPoint {
+            hit_rate: [0.9, f64::NAN, 0.99, 1.0],
+            ..finite
+        };
+        assert_eq!(
+            check_finite(nan_hit),
+            Err(FtError::NonFinite {
+                site: "sweep.point",
+                what: "hit_rate"
+            })
+        );
     }
 }

@@ -240,15 +240,7 @@ impl RecordEncoder {
         for ((id, lvl), &v) in self.ids.iter().zip(&self.levels).zip(x) {
             acc.add(&id.bind(lvl.encode(v)));
         }
-        let mut hv = acc.majority(&self.tie_break);
-        // `bitflip@hdc.encoder` models an upset in the encoded
-        // hypervector. HDC's holographic redundancy is the recovery story
-        // here: downstream similarity queries tolerate flipped bits, which
-        // exp-hdc-robustness quantifies.
-        if let Some(bit) = lori_fault::flip_bit("hdc.encoder", hv.dim()) {
-            hv.flip_bit(bit);
-        }
-        hv
+        acc.majority(&self.tie_break)
     }
 
     /// Encodes a batch of feature rows, fanning fixed-size row chunks out

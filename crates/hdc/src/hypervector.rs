@@ -87,17 +87,6 @@ impl BinaryHv {
         }
     }
 
-    /// Toggles the component at `i` with a single XOR on its word — the
-    /// in-place fast path for noise injection and fault flips.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= dim`.
-    pub fn flip_bit(&mut self, i: usize) {
-        assert!(i < self.dim, "component index out of range");
-        self.words[i / 64] ^= 1u64 << (i % 64);
-    }
-
     /// Mutable access to the packed words, for crate-internal bulk bit
     /// operations. Callers must not set bits at or above `dim` in the last
     /// word (the tail is kept zero as an invariant).

@@ -5,9 +5,9 @@
 //! When enabled, every span enter/exit and gauge set also lands in the
 //! calling thread's ring, overwriting the oldest entry once the ring is
 //! full. The rings are snapshottable at any moment and dumped to a JSON
-//! "black box" file on panic or quarantine, so a crashed run leaves its
-//! last few thousand events next to the WAL even when full event recording
-//! was off.
+//! "black box" file on panic, so a crashed run leaves its last few
+//! thousand events next to its other artifacts even when full event
+//! recording was off.
 //!
 //! Entries are fixed-size (`&'static str` name + five numbers — no
 //! allocation per event) and each ring is guarded by its own mutex that
@@ -324,7 +324,7 @@ pub fn dump(reason: &str) -> Option<PathBuf> {
 /// Installs (once per process) a panic hook that dumps the flight recorder
 /// before delegating to the previous hook. The dump itself is gated on
 /// [`enabled`] and a configured path, so installing the hook is always
-/// safe — including for fault-injection tests that panic under
+/// safe — including for tests that panic under
 /// `catch_unwind`.
 pub fn install_panic_hook() {
     static INSTALLED: OnceLock<()> = OnceLock::new();

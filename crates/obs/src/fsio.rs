@@ -1,10 +1,22 @@
 //! Crash-safe file output: write to a same-directory temp file, then
 //! atomically rename over the destination. A reader never observes a
 //! half-written artifact, and a killed process leaves at most a stray
-//! `.{name}.tmp.{pid}` file behind.
+//! `.{name}.tmp.{pid}` file behind. Also home to [`fnv64`], the one
+//! checksum the workspace uses for on-disk and in-memory integrity checks.
 
 use std::io::Write;
 use std::path::{Path, PathBuf};
+
+/// FNV-1a 64-bit over arbitrary bytes. Stable across platforms and runs.
+#[must_use]
+pub fn fnv64(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
 
 /// The temp sibling used for atomic replacement of `path`. Same directory,
 /// so the final `rename` stays within one filesystem.
@@ -15,8 +27,14 @@ pub(crate) fn tmp_sibling(path: &Path) -> PathBuf {
     path.with_file_name(format!(".{name}.tmp.{}", std::process::id()))
 }
 
-/// Writes `bytes` to `path` atomically (temp file + rename).
-pub(crate) fn atomic_write(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+/// Writes `bytes` to `path` atomically: a synced same-directory temp file,
+/// then a rename over the destination. The temp file is removed on error.
+///
+/// # Errors
+///
+/// Propagates filesystem errors.
+pub fn atomic_write(path: impl AsRef<Path>, bytes: &[u8]) -> std::io::Result<()> {
+    let path = path.as_ref();
     let tmp = tmp_sibling(path);
     let result = (|| {
         let mut file = std::fs::File::create(&tmp)?;
@@ -50,5 +68,11 @@ mod tests {
             .collect();
         assert!(leftovers.is_empty(), "no temp files left: {leftovers:?}");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn fnv64_is_stable() {
+        assert_eq!(fnv64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_ne!(fnv64(b"a"), fnv64(b"b"));
     }
 }

@@ -15,7 +15,9 @@
 //!    run with seed, config, code version, wall time, per-phase breakdown,
 //!    and a metrics snapshot.
 //! 4. **Crash flight recorder** ([`flight`]): per-thread ring buffers of
-//!    recent events, dumped on panic or quarantine.
+//!    recent events, dumped on panic.
+//! 5. **Atomic file output** ([`fsio`]): temp-file + rename writes and the
+//!    FNV-64 checksum.
 //!
 //! Install a [`JsonlRecorder`] to stream every event to an append-only
 //! `.events.jsonl` file:
@@ -35,7 +37,7 @@
 #![warn(missing_docs)]
 
 pub mod flight;
-pub(crate) mod fsio;
+pub mod fsio;
 pub mod json;
 pub mod manifest;
 pub mod metrics;
