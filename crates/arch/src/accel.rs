@@ -46,8 +46,8 @@
 //!
 //! Acceleration only engages when no protection is configured (shadow
 //! state is never read then); protected replays take the plain path. The
-//! scalar campaign engine (`run_with_fault`, `LORI_LANES=1`) never calls
-//! into this module — it stays the measured baseline.
+//! scalar campaign engine (`run_with_fault`, campaign width 1) never calls
+//! into this module — it stays the measured baseline and the test oracle.
 
 use crate::cpu::{Cpu, ExecResult, Protection};
 use crate::isa::{Instr, Program, Reg, NUM_REGS};

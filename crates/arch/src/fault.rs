@@ -218,9 +218,10 @@ pub struct Campaign {
 
 /// Runs `n` random register-bit injections at uniformly random cycles.
 ///
-/// Trials run on the lane engine at the `LORI_LANES` width across the
-/// process-global worker pool; results are bit-identical for any width and
-/// worker count (see [`crate::lane`]).
+/// Trials run on the 64-lane engine across the process-global worker pool;
+/// results are bit-identical for any width and worker count (see
+/// [`crate::lane`]). [`random_register_campaign_with`] takes the width
+/// explicitly; `width = 1` is the scalar reference path.
 ///
 /// # Errors
 ///
@@ -238,7 +239,7 @@ pub fn random_register_campaign(
         protection,
         n,
         seed,
-        lane::lanes_from_env(),
+        lane::MAX_LANES,
         lori_par::global(),
     )
 }
@@ -312,7 +313,7 @@ pub fn per_register_vulnerability(
         config,
         n_per_reg,
         seed,
-        lane::lanes_from_env(),
+        lane::MAX_LANES,
         lori_par::global(),
     )
 }
@@ -385,7 +386,7 @@ pub fn per_instruction_sdc(
         config,
         n_per_instr,
         seed,
-        lane::lanes_from_env(),
+        lane::MAX_LANES,
         lori_par::global(),
     )
 }

@@ -43,23 +43,6 @@ use std::collections::HashMap;
 /// Maximum trials per block: one bit of the active mask per lane.
 pub const MAX_LANES: usize = 64;
 
-/// Lane width from `LORI_LANES`: `1` selects the scalar path, values up to
-/// 64 the lane engine. Unset, unparsable, or out-of-range values mean the
-/// full 64-lane default.
-#[must_use]
-pub fn lanes_from_env() -> usize {
-    parse_lanes(std::env::var("LORI_LANES").ok().as_deref())
-}
-
-/// [`lanes_from_env`]'s rule on a raw value, kept pure so tests never
-/// mutate the process environment.
-fn parse_lanes(raw: Option<&str>) -> usize {
-    match raw.map(|s| s.trim().parse::<usize>()) {
-        Some(Ok(n)) if (1..=MAX_LANES).contains(&n) => n,
-        _ => MAX_LANES,
-    }
-}
-
 /// Evaluates every fault in `specs` against one shared `golden` run,
 /// returning outcomes in input order — bit-identical to mapping
 /// [`run_with_fault`] over `specs`.
@@ -788,21 +771,6 @@ mod tests {
                 );
                 assert_eq!(scalar, lanes, "width {width} threads {threads}");
             }
-        }
-    }
-
-    #[test]
-    fn lanes_env_parsing() {
-        assert_eq!(parse_lanes(None), MAX_LANES);
-        for (raw, want) in [
-            ("1", 1),
-            ("64", 64),
-            ("7", 7),
-            ("0", 64),
-            ("65", 64),
-            ("x", 64),
-        ] {
-            assert_eq!(parse_lanes(Some(raw)), want, "LORI_LANES={raw}");
         }
     }
 }

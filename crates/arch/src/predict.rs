@@ -43,7 +43,7 @@ pub fn ff_vulnerability_dataset(
         trials_per_ff,
         vuln_threshold,
         seed,
-        lane::lanes_from_env(),
+        lane::MAX_LANES,
         lori_par::global(),
     )
 }

@@ -24,14 +24,10 @@ use lori_arch::fault::{FaultSpec, FaultTarget};
 use lori_arch::isa::{Program, Reg, NUM_REGS};
 use lori_arch::lane::{campaign_outcomes, MAX_LANES};
 use lori_arch::workload;
-use lori_bench::{write_bench_arch, ArchGroup};
+use lori_bench::{write_bench_arch, ArchGroup, RunConfig};
 use lori_core::Rng;
 use lori_par::Parallelism;
 use std::time::Instant;
-
-fn smoke_mode() -> bool {
-    std::env::var("LORI_BENCH_SMOKE").is_ok_and(|v| !matches!(v.as_str(), "" | "0" | "false"))
-}
 
 /// One program's fixed campaign: golden run plus the spec set evaluated
 /// against it.
@@ -177,7 +173,8 @@ fn measure_group(
 }
 
 fn main() {
-    let smoke = smoke_mode();
+    let run = RunConfig::from_env();
+    let smoke = run.bench_smoke;
     let config = CpuConfig::default();
     let protection = Protection::none();
     // Full mode matches the exp-ff-vulnerability hot phase (5 programs ×
@@ -199,7 +196,7 @@ fn main() {
         reps,
     );
 
-    let path = write_bench_arch(MAX_LANES, ff, anomaly);
+    let path = write_bench_arch(&run.results_dir, MAX_LANES, ff, anomaly);
     #[allow(clippy::cast_precision_loss)]
     let per_s = |g: &ArchGroup| g.injections as f64 / g.lane_wall_s.max(1e-12);
     println!(

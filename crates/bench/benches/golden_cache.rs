@@ -13,7 +13,7 @@
 //! and the record write.
 
 use criterion::{black_box, BenchmarkId, Criterion};
-use lori_bench::{write_bench_cache, CacheTiming};
+use lori_bench::{write_bench_cache, CacheTiming, RunConfig};
 use lori_cache::{Cache, CacheMode};
 use lori_circuit::cell::CellId;
 use lori_circuit::characterize::{characterize_library_par, Corner};
@@ -50,10 +50,6 @@ fn workload(
     Ok((lib, ml))
 }
 
-fn smoke_mode() -> bool {
-    std::env::var("LORI_BENCH_SMOKE").is_ok_and(|v| !matches!(v.as_str(), "" | "0" | "false"))
-}
-
 /// The cache mode under measurement: `LORI_CACHE` if it names a caching
 /// mode, else `mem`. (`off` would make cold == warm — there would be
 /// nothing to measure — so it is promoted to `mem` here.)
@@ -72,6 +68,7 @@ fn fresh_cached_sim(mode: &CacheMode) -> (GoldenSimulator, Arc<Cache<ArcTiming>>
 }
 
 fn main() {
+    let run = RunConfig::from_env();
     let par = Parallelism::new(lori_par::global().threads().max(2));
     let cfg = bench_ml_config();
     let mode = measured_mode();
@@ -110,7 +107,7 @@ fn main() {
         warm_hits as f64 / warm_lookups as f64
     };
 
-    if !smoke_mode() {
+    if !run.bench_smoke {
         let mut c = Criterion::default()
             .measurement_time(Duration::from_millis(1500))
             .warm_up_time(Duration::from_millis(300))
@@ -137,7 +134,7 @@ fn main() {
         wall_s: warm_wall,
         hit_rate: warm_hit_rate,
     };
-    let path = write_bench_cache(golden_calls, &mode.label(), cold, warm);
+    let path = write_bench_cache(&run.results_dir, golden_calls, &mode.label(), cold, warm);
     println!(
         "BENCH_cache: {} golden calls, cold {:.3}s, warm {:.3}s ({:.1}x, hit rate {:.3}) -> {}",
         golden_calls,

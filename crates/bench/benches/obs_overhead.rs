@@ -19,10 +19,11 @@
 //!   write path vs the per-thread buffered fast path, at 1 and 4 threads.
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
-use lori_bench::write_bench_obs;
+use lori_bench::{write_bench_obs, RunConfig};
 use lori_ftsched::montecarlo::{sweep, SweepConfig};
 use lori_ftsched::workload::adpcm_reference_trace;
 use lori_obs::{Event, JsonlRecorder, Recorder};
+use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -34,10 +35,6 @@ fn sweep_once() {
     };
     let points = sweep(&[1e-6, 1e-5], &trace, &config).expect("sweep");
     criterion::black_box(points);
-}
-
-fn smoke_mode() -> bool {
-    std::env::var("LORI_BENCH_SMOKE").is_ok_and(|v| !matches!(v.as_str(), "" | "0" | "false"))
 }
 
 /// Interleaved A/B sample pairs for the BENCH_obs record. Few enough to
@@ -68,7 +65,7 @@ fn median(samples: &mut [f64]) -> f64 {
 
 /// The headline A/B: everything-off baseline vs the harness default
 /// (flight ring armed, no event recorder).
-fn measure_harness_default_tax() {
+fn measure_harness_default_tax(results_dir: &Path) {
     lori_obs::uninstall();
     let mut baseline = Vec::with_capacity(AB_PAIRS);
     let mut armed = Vec::with_capacity(AB_PAIRS);
@@ -87,7 +84,7 @@ fn measure_harness_default_tax() {
 
     let baseline_s = median(&mut baseline);
     let armed_s = median(&mut armed);
-    let path = write_bench_obs(AB_PAIRS, baseline_s, armed_s);
+    let path = write_bench_obs(results_dir, AB_PAIRS, baseline_s, armed_s);
     println!(
         "BENCH_obs: baseline {:.6}s, harness default {:.6}s ({:+.3}%) -> {}",
         baseline_s,
@@ -194,8 +191,9 @@ fn bench_jsonl_paths(c: &mut Criterion) {
 criterion_group!(benches, bench_obs_overhead, bench_jsonl_paths);
 
 fn main() {
-    measure_harness_default_tax();
-    if smoke_mode() {
+    let run = RunConfig::from_env();
+    measure_harness_default_tax(&run.results_dir);
+    if run.bench_smoke {
         return;
     }
     benches();

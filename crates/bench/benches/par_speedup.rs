@@ -7,7 +7,7 @@
 //! run serially and in parallel and the results compared `==`.
 
 use criterion::{black_box, BenchmarkId, Criterion};
-use lori_bench::{write_bench_sweep, SweepTiming};
+use lori_bench::{write_bench_sweep, RunConfig, SweepTiming};
 use lori_cache::{Cache, CacheMode};
 use lori_circuit::characterize::{characterize_library_par, Corner};
 use lori_circuit::spicelike::GoldenSimulator;
@@ -93,7 +93,13 @@ fn emit_bench_sweep_record() {
         threads: par.threads(),
         wall_s: time_one(par),
     };
-    let path = write_bench_sweep(axis.len(), config.runs, serial, parallel);
+    let path = write_bench_sweep(
+        &RunConfig::from_env().results_dir,
+        axis.len(),
+        config.runs,
+        serial,
+        parallel,
+    );
     println!(
         "BENCH_sweep: serial {:.3}s, {} threads {:.3}s ({:.2}x) -> {}",
         serial.wall_s,

@@ -13,7 +13,7 @@
 //! comparable between smoke and full runs.
 
 use criterion::{black_box, BenchmarkId, Criterion};
-use lori_bench::{write_bench_sta, StaDesign};
+use lori_bench::{write_bench_sta, RunConfig, StaDesign};
 use lori_circuit::characterize::{characterize_library, Corner};
 use lori_circuit::netlist::{processor_datapath, random_logic, InstId, Netlist};
 use lori_circuit::spicelike::GoldenSimulator;
@@ -21,10 +21,6 @@ use lori_circuit::sta::{run_sta, InstanceTiming, StaConfig, StaEngine};
 use lori_circuit::tech::TechParams;
 use lori_core::Rng;
 use std::time::{Duration, Instant};
-
-fn smoke_mode() -> bool {
-    std::env::var("LORI_BENCH_SMOKE").is_ok_and(|v| !matches!(v.as_str(), "" | "0" | "false"))
-}
 
 /// A pre-generated single-instance edit schedule, so the timed loop holds
 /// nothing but `set_timing` calls.
@@ -96,6 +92,7 @@ fn measure(
 }
 
 fn main() {
+    let run = RunConfig::from_env();
     let sim = GoldenSimulator::new(TechParams::default()).expect("tech");
     let lib = characterize_library(&sim, &Corner::default()).expect("library");
     let cfg = StaConfig::default();
@@ -144,7 +141,7 @@ fn main() {
         large.name
     );
 
-    if !smoke_mode() {
+    if !run.bench_smoke {
         let mut c = Criterion::default()
             .measurement_time(Duration::from_millis(1500))
             .warm_up_time(Duration::from_millis(400))
@@ -180,7 +177,7 @@ fn main() {
         group.finish();
     }
 
-    let path = write_bench_sta(&designs);
+    let path = write_bench_sta(&run.results_dir, &designs);
     for d in &designs {
         println!(
             "BENCH_sta: {} ({} instances) full {:.2} passes/s, incremental {:.0} edits/s ({:.0}x per edit)",

@@ -8,7 +8,6 @@
 use lori_arch::cpu::{Cpu, CpuConfig, Protection};
 use lori_arch::isa::NUM_REGS;
 use lori_arch::workload;
-use lori_bench::harness::results_dir;
 use lori_bench::{fmt, render_table, Harness};
 use lori_core::Rng;
 use lori_ml::data::{Dataset, StandardScaler};
@@ -139,8 +138,9 @@ fn main() {
     println!("claim shape: high recall & precision from a tiny two-hidden-layer MLP.");
 
     // Deterministic artifact: the headline metrics as JSON, byte-identical
-    // for a given seed regardless of LORI_LANES / LORI_THREADS — CI diffs
-    // it across engine configurations.
+    // for a given seed. The detector's snapshots come from a serial
+    // simulation, so neither the lane engine nor the worker count reaches
+    // these bytes.
     let metrics = Value::Obj(vec![
         (
             "experiment".to_owned(),
@@ -165,7 +165,7 @@ fn main() {
             Value::from(detector_params as u64),
         ),
     ]);
-    let path = results_dir().join("exp-anomaly-detection.metrics.json");
+    let path = h.results_dir().join("exp-anomaly-detection.metrics.json");
     if let Err(err) = atomic_write(&path, format!("{}\n", metrics.to_json()).as_bytes()) {
         eprintln!("warning: metrics artifact not written: {err}");
     }

@@ -7,7 +7,6 @@
 //! library of thousands of cells "within seconds"; the resulting guardbands
 //! are less pessimistic than worst-case corners while remaining safe.
 
-use lori_bench::harness::results_dir;
 use lori_bench::{fmt, render_table, Harness};
 use lori_circuit::characterize::{characterize_library, Corner};
 use lori_circuit::flow::{run_she_flow, SheFlowConfig};
@@ -153,9 +152,10 @@ fn main() {
         flow.pessimism_reduction() > 0.0,
     );
 
-    // Deterministic guardband artifact (no timestamps, atomic write).
-    // The engine and legacy STA substrates must produce byte-identical
-    // files at any thread count — CI compares them with `cmp`.
+    // Deterministic guardband artifact (no timestamps, atomic write),
+    // byte-identical at any thread count. The STA engine behind it matches
+    // the legacy four-full-pass flow exactly; `lori-circuit`'s flow tests
+    // hold that reference.
     let doc = Value::Obj(vec![
         (
             "nominal_max_arrival_ps".to_owned(),
@@ -200,7 +200,7 @@ fn main() {
             ),
         ),
     ]);
-    let path = results_dir().join("exp-fig3-flow.guardbands.json");
+    let path = h.results_dir().join("exp-fig3-flow.guardbands.json");
     match atomic_write(&path, format!("{}\n", doc.to_json()).as_bytes()) {
         Ok(()) => println!("guardband data: {}", path.display()),
         Err(err) => eprintln!("warning: guardband data not written: {err}"),

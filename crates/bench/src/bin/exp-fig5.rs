@@ -3,7 +3,7 @@
 //! Paper claims: negligible below 1e-6; rapid growth beyond; more than 10
 //! rollbacks per segment past 1e-5 ("formidable to deal with").
 
-use lori_bench::{fmt, fmt_prob, render_table, runs_from_env, write_points_artifact, Harness};
+use lori_bench::{fmt, fmt_prob, render_table, write_points_artifact, Harness};
 use lori_ftsched::montecarlo::{paper_probability_axis, sweep, SweepConfig};
 use lori_ftsched::workload::adpcm_reference_trace;
 
@@ -15,7 +15,7 @@ fn main() {
     );
     let trace = adpcm_reference_trace();
     let mut config = SweepConfig::paper(); // 100 Monte Carlo runs per point
-    config.runs = runs_from_env(config.runs);
+    config.runs = h.run_config().runs.unwrap_or(config.runs);
     let axis = paper_probability_axis();
     config.validate(&axis, &trace).expect("valid sweep config");
     h.seed(config.seed);
@@ -30,7 +30,7 @@ fn main() {
     let points = h
         .phase("sweep", || sweep(&axis, &trace, &config))
         .expect("sweep");
-    write_points_artifact(h.name(), &points);
+    write_points_artifact(h.results_dir(), h.name(), &points);
 
     h.phase("report", || {
         let rows: Vec<Vec<String>> = points

@@ -2,7 +2,8 @@
 //!
 //! Every `exp-*` binary runs through a [`Harness`]: it prints the standard
 //! banner, installs a [`lori_obs::JsonlRecorder`] streaming to
-//! `results/<name>.events.jsonl` (disable with `LORI_OBS=off`), times each
+//! `results/<name>.events.jsonl` (disable with `LORI_OBS=off`; every
+//! setting comes from one [`RunConfig`]), times each
 //! [`Harness::phase`], and on [`Harness::finish`] writes a [`lori_obs::RunManifest`] to
 //! `results/<name>.manifest.json` with the seed, config summary, code
 //! version, per-phase wall times, shape-check outcomes, and a snapshot of
@@ -15,34 +16,21 @@
 //! written atomically (temp file + rename), so a killed run never leaves a
 //! truncated manifest or event log under its final name.
 //!
-//! The harness also arms the crash flight recorder (on by default,
-//! `LORI_FLIGHT=off` disables): it keeps a ring of recent events and dumps
-//! it to `results/<name>.flight.json` on panic.
+//! The harness also arms the crash flight recorder: it keeps a ring of
+//! recent events and dumps it to `results/<name>.flight.json` on panic.
 
+use crate::RunConfig;
 use lori_obs as obs;
 use obs::Value;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Directory experiment outputs land in, honoring `LORI_RESULTS_DIR`.
-#[must_use]
-pub fn results_dir() -> PathBuf {
-    std::env::var_os("LORI_RESULTS_DIR").map_or_else(|| PathBuf::from("results"), PathBuf::from)
-}
-
-/// `true` unless `LORI_OBS=off|0|false` disables event recording.
-fn obs_enabled() -> bool {
-    !matches!(
-        std::env::var("LORI_OBS").as_deref(),
-        Ok("off" | "0" | "false")
-    )
-}
 
 /// The shared experiment runner. See the module docs.
 #[derive(Debug)]
 pub struct Harness {
     name: String,
+    run: RunConfig,
     manifest: obs::RunManifest,
     checks: Vec<(String, bool)>,
     events_path: Option<PathBuf>,
@@ -50,7 +38,8 @@ pub struct Harness {
 }
 
 impl Harness {
-    /// Starts an experiment: banner, results dir, recorder, manifest.
+    /// Starts an experiment with the settings of [`RunConfig::from_env`]:
+    /// banner, results dir, recorder, manifest.
     ///
     /// `name` keys the output files (`results/<name>.events.jsonl`,
     /// `results/<name>.manifest.json`); `id` and `title` feed the banner.
@@ -61,9 +50,15 @@ impl Harness {
     /// [`Harness::finish`].
     #[must_use]
     pub fn new(name: &str, id: &str, title: &str) -> Self {
+        Harness::with_config(name, id, title, RunConfig::from_env())
+    }
+
+    /// [`Harness::new`] with explicit settings.
+    #[must_use]
+    pub fn with_config(name: &str, id: &str, title: &str, run: RunConfig) -> Self {
         crate::banner(id, title);
-        let dir = results_dir();
-        let dir_ok = match std::fs::create_dir_all(&dir) {
+        let dir = &run.results_dir;
+        let dir_ok = match std::fs::create_dir_all(dir) {
             Ok(()) => true,
             Err(err) => {
                 eprintln!(
@@ -74,7 +69,7 @@ impl Harness {
                 false
             }
         };
-        let events_path = if dir_ok && obs_enabled() {
+        let events_path = if dir_ok && run.obs {
             let path = dir.join(format!("{name}.events.jsonl"));
             match obs::JsonlRecorder::create_atomic(&path) {
                 Ok(rec) => {
@@ -92,14 +87,10 @@ impl Harness {
         if events_path.is_none() {
             obs::install(Arc::new(obs::NullRecorder));
         }
-        // Black box: keep a ring of recent events unless explicitly off,
-        // and dump it next to the other artifacts on panic.
-        if std::env::var_os("LORI_FLIGHT").is_none() {
-            obs::flight::enable(obs::flight::DEFAULT_CAPACITY);
-        } else {
-            obs::flight::init_from_env();
-        }
-        if obs::flight::enabled() && dir_ok {
+        // Black box: keep a ring of recent events and dump it next to the
+        // other artifacts on panic.
+        obs::flight::enable(obs::flight::DEFAULT_CAPACITY);
+        if dir_ok {
             obs::flight::set_dump_path(dir.join(format!("{name}.flight.json")));
             obs::flight::install_panic_hook();
         }
@@ -111,6 +102,7 @@ impl Harness {
         manifest.config("cache", lori_cache::mode_string());
         Harness {
             name: name.to_owned(),
+            run,
             manifest,
             checks: Vec::new(),
             events_path,
@@ -122,6 +114,18 @@ impl Harness {
     #[must_use]
     pub fn name(&self) -> &str {
         &self.name
+    }
+
+    /// The settings this run honors.
+    #[must_use]
+    pub fn run_config(&self) -> &RunConfig {
+        &self.run
+    }
+
+    /// The directory this run's artifacts land in.
+    #[must_use]
+    pub fn results_dir(&self) -> &Path {
+        &self.run.results_dir
     }
 
     /// Records the master RNG seed in the manifest.
@@ -207,7 +211,9 @@ impl Harness {
             self.manifest.config.push(("checks".to_owned(), checks));
         }
         self.manifest.finish(obs::registry().snapshot());
-        let path = results_dir().join(format!("{}.manifest.json", self.name));
+        let path = self
+            .results_dir()
+            .join(format!("{}.manifest.json", self.name));
         self.manifest.write(&path)?;
         print!("manifest: {}", path.display());
         if let Some(events) = &self.events_path {
@@ -241,10 +247,12 @@ mod tests {
     // exercises the full lifecycle in one body.
     #[test]
     fn harness_lifecycle_writes_events_and_manifest() {
-        let _env = crate::env_lock();
         let dir = std::env::temp_dir().join(format!("lori-harness-{}", std::process::id()));
-        std::env::set_var("LORI_RESULTS_DIR", &dir);
-        let mut h = Harness::new("exp-unit", "E0", "harness unit test");
+        let run = RunConfig {
+            results_dir: dir.clone(),
+            ..RunConfig::default()
+        };
+        let mut h = Harness::with_config("exp-unit", "E0", "harness unit test", run);
         assert_eq!(h.name(), "exp-unit");
         h.seed(9);
         h.config("runs", 3u64);
@@ -253,7 +261,6 @@ mod tests {
         h.check("sum matches", total == 4950);
         assert!(h.all_checks_pass());
         h.finish().expect("manifest written");
-        std::env::remove_var("LORI_RESULTS_DIR");
 
         let manifest =
             std::fs::read_to_string(dir.join("exp-unit.manifest.json")).expect("manifest");
@@ -280,19 +287,21 @@ mod tests {
         }
         std::fs::remove_dir_all(&dir).ok();
 
-        // Degraded mode, same test body (the recorder and LORI_RESULTS_DIR
-        // are process-global): a file where the results dir should be makes
-        // create_dir_all fail; the harness must warn and keep computing,
-        // and finish() must return the write error instead of panicking.
+        // Degraded mode, same test body (the recorder is process-global): a
+        // file where the results dir should be makes create_dir_all fail;
+        // the harness must warn and keep computing, and finish() must
+        // return the write error instead of panicking.
         let blocker = std::env::temp_dir().join(format!("lori-harness-blk-{}", std::process::id()));
         std::fs::write(&blocker, b"not a directory").unwrap();
-        std::env::set_var("LORI_RESULTS_DIR", &blocker);
-        let mut h = Harness::new("exp-degraded", "E0", "degraded harness");
+        let run = RunConfig {
+            results_dir: blocker.clone(),
+            ..RunConfig::default()
+        };
+        let mut h = Harness::with_config("exp-degraded", "E0", "degraded harness", run);
         let out = h.phase("compute", || 21 * 2);
         assert_eq!(out, 42);
         let err = h.finish().expect_err("manifest write must fail");
         assert!(!err.to_string().is_empty());
-        std::env::remove_var("LORI_RESULTS_DIR");
         std::fs::remove_file(&blocker).ok();
     }
 }

@@ -5,9 +5,11 @@
 //! the Criterion benches. See DESIGN.md §4 for the experiment index and
 //! EXPERIMENTS.md for recorded results.
 
+pub mod config;
 pub mod harness;
 pub mod perf;
 
+pub use config::RunConfig;
 pub use harness::Harness;
 pub use perf::{
     write_bench_arch, write_bench_cache, write_bench_obs, write_bench_sta, write_bench_sweep,
@@ -17,6 +19,7 @@ pub use perf::{
 use lori_ftsched::montecarlo::SweepPoint;
 use lori_obs::Value;
 use std::fmt::Write as _;
+use std::path::Path;
 
 /// Renders an ASCII table with a header row.
 ///
@@ -77,23 +80,12 @@ pub fn fmt_prob(p: f64) -> String {
     format!("{p:.1e}")
 }
 
-/// Monte Carlo runs per point: `LORI_RUNS` when set to a positive integer,
-/// else `default`. Lets tests resize a sweep.
-#[must_use]
-pub fn runs_from_env(default: usize) -> usize {
-    std::env::var("LORI_RUNS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(default)
-}
-
-/// Writes the deterministic `results/<name>.points.json` artifact of a
+/// Writes the deterministic `<dir>/<name>.points.json` artifact of a
 /// Fig. 5/6 sweep and prints its path. The file holds results only — no
 /// timestamps, versions or wall times — so runs that compute the same
 /// points produce byte-identical files at any worker count. A write
 /// failure is a warning: the sweep's printed results stand.
-pub fn write_points_artifact(name: &str, points: &[SweepPoint]) {
+pub fn write_points_artifact(dir: &Path, name: &str, points: &[SweepPoint]) {
     let point_value = |pt: &SweepPoint| {
         Value::Obj(vec![
             ("p".to_owned(), Value::from(pt.p)),
@@ -116,7 +108,7 @@ pub fn write_points_artifact(name: &str, points: &[SweepPoint]) {
             Value::Arr(points.iter().map(point_value).collect()),
         ),
     ]);
-    let path = harness::results_dir().join(format!("{name}.points.json"));
+    let path = dir.join(format!("{name}.points.json"));
     match lori_obs::fsio::atomic_write(&path, format!("{}\n", doc.to_json()).as_bytes()) {
         Ok(()) => println!("points: {}", path.display()),
         Err(err) => eprintln!("warning: cannot write points artifact: {err}"),
@@ -128,16 +120,6 @@ pub fn banner(id: &str, title: &str) {
     println!("==============================================================");
     println!("{id}: {title}");
     println!("==============================================================");
-}
-
-/// Serializes the unit tests that set `LORI_RESULTS_DIR`: they share one
-/// test binary, and one test's `remove_var` would otherwise pull the
-/// results dir out from under another mid-run.
-#[cfg(test)]
-pub(crate) fn env_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 #[cfg(test)]

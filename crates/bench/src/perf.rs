@@ -1,16 +1,17 @@
 //! Machine-readable performance trajectory records.
 //!
-//! [`write_bench_sweep`] emits `results/BENCH_sweep.json`: wall time and
-//! throughput (probability points per second) for one fixed Fig. 5/6-sized
-//! Monte Carlo sweep, measured serially and with the parallel executor.
+//! [`write_bench_sweep`] emits `BENCH_sweep.json`: wall time and throughput
+//! (probability points per second) for one fixed Fig. 5/6-sized Monte
+//! Carlo sweep, measured serially and with the parallel executor.
 //! [`write_bench_cache`] and [`write_bench_obs`] record the memoization
-//! payoff and the observability tax in the same shape. Future PRs diff
-//! these files to see whether a change moved the hot path.
+//! payoff and the observability tax in the same shape. Every writer takes
+//! the results directory explicitly (a bench passes
+//! [`crate::RunConfig::results_dir`]). Later changes diff these files to
+//! see whether a change moved the hot path.
 
-use crate::harness::results_dir;
 use lori_obs::fsio::atomic_write;
 use lori_obs::Value;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// One timed configuration of the fixed sweep.
 #[derive(Debug, Clone, Copy)]
@@ -37,14 +38,14 @@ impl SweepTiming {
     }
 }
 
-/// Writes `results/BENCH_sweep.json` describing a fixed sweep measured at
+/// Writes `<dir>/BENCH_sweep.json` describing a fixed sweep measured at
 /// one and `parallel.threads` workers. Returns the path written.
 ///
 /// The record includes the machine's core count: a 1-core runner cannot
 /// show wall-time speedup no matter how good the executor is, and perf
 /// trajectories are only comparable across equal-core environments. To
 /// make those comparisons possible, the same record is also written to a
-/// per-core-count baseline slot, `results/BENCH_sweep.cores-<n>.json` —
+/// per-core-count baseline slot, `<dir>/BENCH_sweep.cores-<n>.json` —
 /// the perf gate prefers the slot matching the current runner, so a
 /// multi-core runner's speedup is gated against a multi-core baseline
 /// instead of being demoted to a warning against a 1-core one.
@@ -55,6 +56,7 @@ impl SweepTiming {
 /// written — a perf record that silently fails to persist is worse than a
 /// loud failure in a bench run.
 pub fn write_bench_sweep(
+    dir: &Path,
     probability_points: usize,
     runs_per_point: usize,
     serial: SweepTiming,
@@ -85,8 +87,7 @@ pub fn write_bench_sweep(
             Value::from(lori_obs::version_string()),
         ),
     ]);
-    let dir = results_dir();
-    std::fs::create_dir_all(&dir).expect("create results dir");
+    std::fs::create_dir_all(dir).expect("create results dir");
     let path = dir.join("BENCH_sweep.json");
     let bytes = format!("{}\n", doc.to_json());
     // Atomic replace: a perf trajectory diff must never see a half-written
@@ -123,7 +124,7 @@ impl CacheTiming {
     }
 }
 
-/// Writes `results/BENCH_cache.json` — the golden-model memoization record
+/// Writes `<dir>/BENCH_cache.json` — the golden-model memoization record
 /// in the same shape as [`write_bench_sweep`]'s: one fixed workload
 /// (`characterize_library` + `mlchar::train` over the default 60-cell
 /// library, `golden_calls` golden queries), timed cold (empty cache) and
@@ -135,6 +136,7 @@ impl CacheTiming {
 /// written — a perf record that silently fails to persist is worse than a
 /// loud failure in a bench run.
 pub fn write_bench_cache(
+    dir: &Path,
     golden_calls: usize,
     cache_mode: &str,
     cold: CacheTiming,
@@ -159,15 +161,14 @@ pub fn write_bench_cache(
             Value::from(lori_obs::version_string()),
         ),
     ]);
-    let dir = results_dir();
-    std::fs::create_dir_all(&dir).expect("create results dir");
+    std::fs::create_dir_all(dir).expect("create results dir");
     let path = dir.join("BENCH_cache.json");
     // Atomic replace, same contract as BENCH_sweep.json.
     atomic_write(&path, format!("{}\n", doc.to_json()).as_bytes()).expect("write BENCH_cache.json");
     path
 }
 
-/// Writes `results/BENCH_obs.json` — the observability-tax record: median
+/// Writes `<dir>/BENCH_obs.json` — the observability-tax record: median
 /// wall seconds for one fixed Monte Carlo sweep with every obs consumer
 /// off (`baseline`) and with the harness default (flight recorder armed,
 /// no event recorder — recorded under the historical key
@@ -180,7 +181,7 @@ pub fn write_bench_cache(
 /// Panics if the results directory cannot be created or the file cannot be
 /// written — a perf record that silently fails to persist is worse than a
 /// loud failure in a bench run.
-pub fn write_bench_obs(samples: usize, baseline_s: f64, armed_s: f64) -> PathBuf {
+pub fn write_bench_obs(dir: &Path, samples: usize, baseline_s: f64, armed_s: f64) -> PathBuf {
     let overhead_pct = if baseline_s > 0.0 {
         (armed_s - baseline_s) / baseline_s * 100.0
     } else {
@@ -205,8 +206,7 @@ pub fn write_bench_obs(samples: usize, baseline_s: f64, armed_s: f64) -> PathBuf
             Value::from(lori_obs::version_string()),
         ),
     ]);
-    let dir = results_dir();
-    std::fs::create_dir_all(&dir).expect("create results dir");
+    std::fs::create_dir_all(dir).expect("create results dir");
     let path = dir.join("BENCH_obs.json");
     // Atomic replace, same contract as BENCH_sweep.json.
     atomic_write(&path, format!("{}\n", doc.to_json()).as_bytes()).expect("write BENCH_obs.json");
@@ -260,7 +260,7 @@ impl ArchGroup {
     }
 }
 
-/// Writes `results/BENCH_arch.json` — the bit-parallel fault-injection
+/// Writes `<dir>/BENCH_arch.json` — the bit-parallel fault-injection
 /// record: scalar-vs-lane wall time and injections/s for the
 /// exp-ff-vulnerability-shaped and exp-anomaly-detection-shaped campaigns,
 /// both measured serially so the speedup is the lane engine's alone.
@@ -271,7 +271,12 @@ impl ArchGroup {
 /// Panics if the results directory cannot be created or the file cannot be
 /// written — a perf record that silently fails to persist is worse than a
 /// loud failure in a bench run.
-pub fn write_bench_arch(lanes: usize, ff_vulnerability: ArchGroup, anomaly: ArchGroup) -> PathBuf {
+pub fn write_bench_arch(
+    dir: &Path,
+    lanes: usize,
+    ff_vulnerability: ArchGroup,
+    anomaly: ArchGroup,
+) -> PathBuf {
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let doc = Value::Obj(vec![
         ("bench".to_owned(), Value::from("fault_throughput")),
@@ -284,8 +289,7 @@ pub fn write_bench_arch(lanes: usize, ff_vulnerability: ArchGroup, anomaly: Arch
             Value::from(lori_obs::version_string()),
         ),
     ]);
-    let dir = results_dir();
-    std::fs::create_dir_all(&dir).expect("create results dir");
+    std::fs::create_dir_all(dir).expect("create results dir");
     let path = dir.join("BENCH_arch.json");
     // Atomic replace, same contract as BENCH_sweep.json.
     atomic_write(&path, format!("{}\n", doc.to_json()).as_bytes()).expect("write BENCH_arch.json");
@@ -369,7 +373,7 @@ impl StaDesign {
     }
 }
 
-/// Writes `results/BENCH_sta.json` — the incremental STA record: for each
+/// Writes `<dir>/BENCH_sta.json` — the incremental STA record: for each
 /// design size, full from-scratch pass throughput vs single-instance
 /// incremental retime throughput on the `StaEngine`, plus the per-edit
 /// speedup. Returns the path written.
@@ -379,7 +383,7 @@ impl StaDesign {
 /// Panics if the results directory cannot be created or the file cannot be
 /// written — a perf record that silently fails to persist is worse than a
 /// loud failure in a bench run.
-pub fn write_bench_sta(designs: &[StaDesign]) -> PathBuf {
+pub fn write_bench_sta(dir: &Path, designs: &[StaDesign]) -> PathBuf {
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let doc = Value::Obj(vec![
         ("bench".to_owned(), Value::from("sta_incremental")),
@@ -398,8 +402,7 @@ pub fn write_bench_sta(designs: &[StaDesign]) -> PathBuf {
             Value::from(lori_obs::version_string()),
         ),
     ]);
-    let dir = results_dir();
-    std::fs::create_dir_all(&dir).expect("create results dir");
+    std::fs::create_dir_all(dir).expect("create results dir");
     let path = dir.join("BENCH_sta.json");
     // Atomic replace, same contract as BENCH_sweep.json.
     atomic_write(&path, format!("{}\n", doc.to_json()).as_bytes()).expect("write BENCH_sta.json");
@@ -412,9 +415,7 @@ mod tests {
 
     #[test]
     fn bench_arch_record_round_trips() {
-        let _env = crate::env_lock();
         let dir = std::env::temp_dir().join(format!("lori-perf-arch-{}", std::process::id()));
-        std::env::set_var("LORI_RESULTS_DIR", &dir);
         let ff = ArchGroup {
             injections: 10_240,
             scalar_wall_s: 8.0,
@@ -425,8 +426,7 @@ mod tests {
             scalar_wall_s: 2.0,
             lane_wall_s: 0.1,
         };
-        let path = write_bench_arch(64, ff, anomaly);
-        std::env::remove_var("LORI_RESULTS_DIR");
+        let path = write_bench_arch(&dir, 64, ff, anomaly);
         let text = std::fs::read_to_string(&path).expect("record written");
         let v = Value::parse(&text).expect("valid json");
         assert_eq!(
@@ -449,9 +449,7 @@ mod tests {
 
     #[test]
     fn bench_sta_record_round_trips() {
-        let _env = crate::env_lock();
         let dir = std::env::temp_dir().join(format!("lori-perf-sta-{}", std::process::id()));
-        std::env::set_var("LORI_RESULTS_DIR", &dir);
         let design = StaDesign {
             name: "random_logic_2000".to_owned(),
             instances: 2000,
@@ -461,8 +459,7 @@ mod tests {
             incremental_wall_s: 0.5,
         };
         assert!((design.single_edit_speedup() - 200.0).abs() < 1e-9);
-        let path = write_bench_sta(&[design]);
-        std::env::remove_var("LORI_RESULTS_DIR");
+        let path = write_bench_sta(&dir, &[design]);
         let text = std::fs::read_to_string(&path).expect("record written");
         let v = Value::parse(&text).expect("valid json");
         assert_eq!(
@@ -495,10 +492,9 @@ mod tests {
 
     #[test]
     fn bench_cache_record_round_trips() {
-        let _env = crate::env_lock();
         let dir = std::env::temp_dir().join(format!("lori-perf-cache-{}", std::process::id()));
-        std::env::set_var("LORI_RESULTS_DIR", &dir);
         let path = write_bench_cache(
+            &dir,
             2160,
             "mem",
             CacheTiming {
@@ -510,7 +506,6 @@ mod tests {
                 hit_rate: 1.0,
             },
         );
-        std::env::remove_var("LORI_RESULTS_DIR");
         let text = std::fs::read_to_string(&path).expect("record written");
         let v = Value::parse(&text).expect("valid json");
         assert_eq!(v.get("bench").and_then(Value::as_str), Some("golden_cache"));
@@ -527,11 +522,8 @@ mod tests {
 
     #[test]
     fn bench_obs_record_round_trips() {
-        let _env = crate::env_lock();
         let dir = std::env::temp_dir().join(format!("lori-perf-obs-{}", std::process::id()));
-        std::env::set_var("LORI_RESULTS_DIR", &dir);
-        let path = write_bench_obs(9, 2.0, 2.02);
-        std::env::remove_var("LORI_RESULTS_DIR");
+        let path = write_bench_obs(&dir, 9, 2.0, 2.02);
         let text = std::fs::read_to_string(&path).expect("record written");
         let v = Value::parse(&text).expect("valid json");
         assert_eq!(v.get("bench").and_then(Value::as_str), Some("obs_overhead"));
@@ -542,10 +534,9 @@ mod tests {
 
     #[test]
     fn bench_sweep_record_round_trips() {
-        let _env = crate::env_lock();
         let dir = std::env::temp_dir().join(format!("lori-perf-{}", std::process::id()));
-        std::env::set_var("LORI_RESULTS_DIR", &dir);
         let path = write_bench_sweep(
+            &dir,
             13,
             100,
             SweepTiming {
@@ -557,7 +548,6 @@ mod tests {
                 wall_s: 0.5,
             },
         );
-        std::env::remove_var("LORI_RESULTS_DIR");
         let text = std::fs::read_to_string(&path).expect("record written");
         let v = Value::parse(&text).expect("valid json");
         assert_eq!(v.get("bench").and_then(Value::as_str), Some("fig56_sweep"));

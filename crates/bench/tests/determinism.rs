@@ -1,26 +1,47 @@
-//! The Fig. 5/6 points artifacts are byte-identical across thread counts:
-//! each `exp-*` sweep binary runs at `LORI_THREADS=1` and `4` and the two
-//! `results/<name>.points.json` files must match byte for byte.
+//! Experiment artifacts are byte-identical across thread counts: each
+//! binary below runs at `LORI_THREADS=1` and `4`, and the two copies of its
+//! deterministic artifact must match byte for byte.
+//!
+//! - `exp-fig5`/`exp-fig6`: the Fig. 5/6 sweep points;
+//! - `exp-ff-vulnerability`: the lane-engine injection campaign behind the
+//!   kNN/SVM table.
 
 use std::process::Command;
 
-/// Inherited `LORI_*` knobs stripped from the spawned binaries so the
-/// test's own settings are the whole story.
-const STRIPPED_KNOBS: [&str; 2] = ["LORI_THREADS", "LORI_OBS"];
+/// `(binary, executable, artifact)`, the artifact named relative to the
+/// results dir. `LORI_RUNS` below shrinks only the two sweeps.
+const CASES: [(&str, &str, &str); 3] = [
+    (
+        "exp-fig5",
+        env!("CARGO_BIN_EXE_exp-fig5"),
+        "exp-fig5.points.json",
+    ),
+    (
+        "exp-fig6",
+        env!("CARGO_BIN_EXE_exp-fig6"),
+        "exp-fig6.points.json",
+    ),
+    (
+        "exp-ff-vulnerability",
+        env!("CARGO_BIN_EXE_exp-ff-vulnerability"),
+        "exp-ff-vulnerability.table.json",
+    ),
+];
 
 #[test]
-fn points_are_byte_identical_across_thread_counts() {
+fn artifacts_are_byte_identical_across_thread_counts() {
     let base = std::env::temp_dir().join(format!("lori-determinism-{}", std::process::id()));
-    for (name, exe) in [
-        ("exp-fig5", env!("CARGO_BIN_EXE_exp-fig5")),
-        ("exp-fig6", env!("CARGO_BIN_EXE_exp-fig6")),
-    ] {
-        let mut artifacts = Vec::new();
+    for (name, exe, artifact) in CASES {
+        let mut copies = Vec::new();
         for threads in ["1", "4"] {
             let dir = base.join(format!("{name}-threads-{threads}"));
             let mut cmd = Command::new(exe);
-            for knob in STRIPPED_KNOBS {
-                cmd.env_remove(knob);
+            // Strip every inherited knob so the test's own settings are
+            // the whole story.
+            for (key, _) in std::env::vars_os() {
+                if key.to_string_lossy().starts_with("LORI_") {
+                    cmd.env_remove(key);
+                }
             }
             let out = cmd
                 .env("LORI_RESULTS_DIR", &dir)
@@ -34,12 +55,11 @@ fn points_are_byte_identical_across_thread_counts() {
                 out.status,
                 String::from_utf8_lossy(&out.stderr)
             );
-            let points = dir.join(format!("{name}.points.json"));
-            artifacts.push(std::fs::read(&points).expect("points artifact"));
+            copies.push(std::fs::read(dir.join(artifact)).expect("artifact written"));
         }
         assert_eq!(
-            artifacts[0], artifacts[1],
-            "{name}: points.json diverged between LORI_THREADS=1 and 4"
+            copies[0], copies[1],
+            "{name}: {artifact} diverged between LORI_THREADS=1 and 4"
         );
     }
     std::fs::remove_dir_all(&base).ok();

@@ -112,10 +112,7 @@ impl CacheMode {
 }
 
 fn default_disk_dir() -> PathBuf {
-    // Mirrors lori-bench's results-dir convention without depending on it.
-    std::env::var("LORI_RESULTS_DIR")
-        .map_or_else(|_| PathBuf::from("results"), PathBuf::from)
-        .join("cache")
+    lori_obs::fsio::results_dir().join("cache")
 }
 
 /// The process-wide cache mode, read from `LORI_CACHE` once on first use.

@@ -27,31 +27,20 @@ use crate::mlchar::{InstanceContext, MlCharacterizer};
 use crate::netlist::Netlist;
 use crate::she::SheModel;
 use crate::spicelike::GoldenSimulator;
-use crate::sta::{run_sta, run_sta_with_overrides, Guardband, StaConfig, StaEngine, StaReport};
+use crate::sta::{Guardband, StaConfig, StaEngine, StaReport};
 use lori_core::units::{Celsius, Seconds};
 
-/// Which STA substrate [`run_she_flow`] uses.
+/// Which STA substrate [`run_she_flow_with_mode`] uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StaMode {
     /// The incremental [`StaEngine`]: validation, topological order, and
     /// net loads are computed once and the accurate/worst-case corners
-    /// re-time on top of the nominal state. The default.
+    /// re-time on top of the nominal state.
     Engine,
     /// Four independent full STA passes — the pre-engine behaviour, kept
-    /// as the reference the CI equivalence job byte-compares against.
+    /// as the test oracle the engine is compared against.
+    #[cfg(test)]
     Legacy,
-}
-
-impl StaMode {
-    /// Reads `LORI_STA` (`legacy` selects [`StaMode::Legacy`]; anything
-    /// else, including unset, selects [`StaMode::Engine`]).
-    #[must_use]
-    pub fn from_env() -> StaMode {
-        match std::env::var("LORI_STA") {
-            Ok(v) if v.eq_ignore_ascii_case("legacy") => StaMode::Legacy,
-            _ => StaMode::Engine,
-        }
-    }
 }
 
 /// Configuration of the SHE flow.
@@ -139,19 +128,12 @@ pub fn run_she_flow(
     ml: &MlCharacterizer,
     config: &SheFlowConfig,
 ) -> Result<SheFlowReport, CircuitError> {
-    run_she_flow_with_mode(
-        sim,
-        timing_library,
-        netlist,
-        ml,
-        config,
-        StaMode::from_env(),
-    )
+    run_she_flow_with_mode(sim, timing_library, netlist, ml, config, StaMode::Engine)
 }
 
-/// [`run_she_flow`] with an explicit STA substrate. Both modes produce
-/// byte-identical reports — the CI equivalence job compares the exported
-/// artifacts directly, and `flow::tests` asserts report equality.
+/// [`run_she_flow`] with an explicit STA substrate. Outside tests the only
+/// substrate is [`StaMode::Engine`]; `flow::tests` asserts that its reports
+/// equal the legacy four-full-pass reference exactly.
 ///
 /// # Errors
 ///
@@ -168,6 +150,7 @@ pub fn run_she_flow_with_mode(
     config.she.validate()?;
     match mode {
         StaMode::Engine => run_she_flow_engine(timing_library, netlist, ml, config),
+        #[cfg(test)]
         StaMode::Legacy => run_she_flow_legacy(timing_library, netlist, ml, config),
     }
 }
@@ -265,7 +248,10 @@ fn run_she_flow_engine(
     })
 }
 
-/// The legacy substrate: four independent full STA passes.
+/// The legacy substrate: four independent full STA passes. Test-only: it
+/// is the reference `engine_and_legacy_substrates_agree_exactly` checks
+/// the engine against.
+#[cfg(test)]
 fn run_she_flow_legacy(
     timing_library: &Library,
     netlist: &Netlist,
@@ -273,9 +259,9 @@ fn run_she_flow_legacy(
     config: &SheFlowConfig,
 ) -> Result<SheFlowReport, CircuitError> {
     // Step 1-2: nominal STA and SHE extraction via the delay-slot trick.
-    let nominal = run_sta(netlist, timing_library, &config.sta)?;
+    let nominal = crate::sta::run_sta(netlist, timing_library, &config.sta)?;
     let she_lib = she_as_delay_library(timing_library, &config.she)?;
-    let she_run = run_sta(netlist, &she_lib, &config.sta)?;
+    let she_run = crate::sta::run_sta(netlist, &she_lib, &config.sta)?;
     let instance_she_k = she_run.instance_delay_ps.clone();
 
     // Step 3: per-instance contexts.
@@ -284,12 +270,14 @@ fn run_she_flow_legacy(
 
     // Step 4a: accurate per-instance STA.
     let overrides = ml.generate_instance_library(netlist, &contexts)?;
-    let accurate = run_sta_with_overrides(netlist, timing_library, &config.sta, &overrides)?;
+    let accurate =
+        crate::sta::run_sta_with_overrides(netlist, timing_library, &config.sta, &overrides)?;
 
     // Step 4b: worst-case corner.
     let wc_contexts = worst_case_contexts(&contexts, &instance_she_k, &instance_delta_vth_v);
     let wc_overrides = ml.generate_instance_library(netlist, &wc_contexts)?;
-    let worst_case = run_sta_with_overrides(netlist, timing_library, &config.sta, &wc_overrides)?;
+    let worst_case =
+        crate::sta::run_sta_with_overrides(netlist, timing_library, &config.sta, &wc_overrides)?;
 
     Ok(SheFlowReport {
         instance_she_k,

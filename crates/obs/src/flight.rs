@@ -145,30 +145,6 @@ pub fn disable() {
     ENABLED.store(false, Ordering::Relaxed);
 }
 
-/// Arms the recorder from `LORI_FLIGHT`: unset/`off`/`0`/`false` leaves it
-/// disabled, `on`/`1`/`true` arms at [`DEFAULT_CAPACITY`], a number arms
-/// with that per-thread capacity. Returns whether the recorder is armed.
-pub fn init_from_env() -> bool {
-    match std::env::var("LORI_FLIGHT") {
-        Ok(v) => match v.trim() {
-            "" | "0" | "off" | "false" => false,
-            "1" | "on" | "true" => {
-                enable(DEFAULT_CAPACITY);
-                true
-            }
-            n => {
-                if let Ok(cap) = n.parse::<usize>() {
-                    enable(cap);
-                    true
-                } else {
-                    false
-                }
-            }
-        },
-        Err(_) => false,
-    }
-}
-
 /// Empties every ring and the total-written counters (test isolation and
 /// run boundaries).
 pub fn clear() {

@@ -2,7 +2,8 @@
 //! atomically rename over the destination. A reader never observes a
 //! half-written artifact, and a killed process leaves at most a stray
 //! `.{name}.tmp.{pid}` file behind. Also home to [`fnv64`], the one
-//! checksum the workspace uses for on-disk and in-memory integrity checks.
+//! checksum the workspace uses for on-disk and in-memory integrity checks,
+//! and of [`results_dir`], the one reader of `LORI_RESULTS_DIR`.
 
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -16,6 +17,14 @@ pub fn fnv64(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
+}
+
+/// The directory run artifacts land in: `$LORI_RESULTS_DIR` when set,
+/// else `results/`. The one reader of that variable, shared by the
+/// experiment harness, `lori-report` and `lori-cache`.
+#[must_use]
+pub fn results_dir() -> PathBuf {
+    std::env::var_os("LORI_RESULTS_DIR").map_or_else(|| PathBuf::from("results"), PathBuf::from)
 }
 
 /// The temp sibling used for atomic replacement of `path`. Same directory,

@@ -41,12 +41,12 @@ pub use profile::{build_profile, parse_events, OrphanSpan, ParsedEvents, Profile
 
 use std::path::{Path, PathBuf};
 
-/// The results directory: `$LORI_RESULTS_DIR` when set, else `results/`.
-/// Mirrors `lori-bench`'s convention so the CLI finds what the harness
+/// The results directory: `$LORI_RESULTS_DIR` when set, else `results/`
+/// ([`lori_obs::fsio::results_dir`]), so the CLI finds what the harness
 /// wrote without extra flags.
 #[must_use]
 pub fn results_dir() -> PathBuf {
-    std::env::var_os("LORI_RESULTS_DIR").map_or_else(|| PathBuf::from("results"), PathBuf::from)
+    lori_obs::fsio::results_dir()
 }
 
 /// Atomic file replace (same-directory temp + rename): readers never see a
