@@ -1,11 +1,10 @@
 //! Bit-parallel fault-injection throughput: the lane engine vs the scalar
 //! path on the two campaign shapes the paper's architecture studies run at
-//! survey scale. Emits `results/BENCH_arch.json`, the machine-readable
-//! perf-trajectory record in the same shape as `BENCH_sweep.json`.
+//! survey scale. Writes `results/BENCH_fault_throughput.json`, one
+//! [`BenchRecord`] with a `<campaign>_*` group of cases per campaign.
 //!
 //! Two fixed spec sets, both timed at `Parallelism::serial()` so the
-//! measured speedup is the lane engine's alone (thread scaling is
-//! `par_speedup`'s subject):
+//! measured speedup is the lane engine's alone:
 //!
 //! - **ff_vulnerability** — the exp-ff-vulnerability hot phase: every
 //!   (program, register, bit) cell of all five workloads, trials drawn in
@@ -24,7 +23,7 @@ use lori_arch::fault::{FaultSpec, FaultTarget};
 use lori_arch::isa::{Program, Reg, NUM_REGS};
 use lori_arch::lane::{campaign_outcomes, MAX_LANES};
 use lori_arch::workload;
-use lori_bench::{write_bench_arch, ArchGroup, RunConfig};
+use lori_bench::{BenchRecord, RunConfig};
 use lori_core::Rng;
 use lori_par::Parallelism;
 use std::time::Instant;
@@ -129,13 +128,16 @@ fn time_width(
     walls[walls.len() / 2]
 }
 
+/// Asserts lane/scalar bit-identity on every set, times both paths, and
+/// appends the campaign's `<name>_*` cases to `record`.
 fn measure_group(
+    record: &mut BenchRecord,
     name: &str,
     sets: &[CampaignSet],
     config: &CpuConfig,
     protection: &Protection,
     reps: usize,
-) -> ArchGroup {
+) {
     // Bit-identity first: the speedup claim is void if the outcomes drift.
     for set in sets {
         let scalar = campaign_outcomes(
@@ -165,11 +167,33 @@ fn measure_group(
     let injections: usize = sets.iter().map(|s| s.specs.len()).sum();
     let scalar_wall_s = time_width(sets, config, protection, 1, reps);
     let lane_wall_s = time_width(sets, config, protection, MAX_LANES, reps);
-    ArchGroup {
-        injections,
-        scalar_wall_s,
-        lane_wall_s,
-    }
+    let speedup = if lane_wall_s > 0.0 {
+        scalar_wall_s / lane_wall_s
+    } else {
+        0.0
+    };
+    #[allow(clippy::cast_precision_loss)]
+    record
+        .case(format!("{name}_injections"), injections as f64)
+        .case(format!("{name}_scalar_wall_s"), scalar_wall_s)
+        .rate(
+            format!("{name}_scalar_injections_per_s"),
+            injections,
+            scalar_wall_s,
+        )
+        .case(format!("{name}_lane_wall_s"), lane_wall_s)
+        .rate(
+            format!("{name}_lane_injections_per_s"),
+            injections,
+            lane_wall_s,
+        )
+        .case(format!("{name}_speedup"), speedup);
+    #[allow(clippy::cast_precision_loss)]
+    let lane_per_s = injections as f64 / lane_wall_s.max(1e-12);
+    println!(
+        "BENCH_fault_throughput: {name} {injections} injections, scalar {scalar_wall_s:.3}s, \
+         lanes {lane_wall_s:.3}s ({speedup:.1}x, {lane_per_s:.0}/s)"
+    );
 }
 
 fn main() {
@@ -187,31 +211,25 @@ fn main() {
     let ff_sets = ff_vulnerability_sets(&config, trials_per_ff, 1);
     let anomaly_sets = [anomaly_set(&config, anomaly_trials, 2)];
 
-    let ff = measure_group("ff_vulnerability", &ff_sets, &config, &protection, reps);
-    let anomaly = measure_group(
+    let mut record = BenchRecord::new(env!("CARGO_CRATE_NAME"));
+    #[allow(clippy::cast_precision_loss)]
+    record.case("lanes", MAX_LANES as f64);
+    measure_group(
+        &mut record,
+        "ff_vulnerability",
+        &ff_sets,
+        &config,
+        &protection,
+        reps,
+    );
+    measure_group(
+        &mut record,
         "anomaly_campaign",
         &anomaly_sets,
         &config,
         &protection,
         reps,
     );
-
-    let path = write_bench_arch(&run.results_dir, MAX_LANES, ff, anomaly);
-    #[allow(clippy::cast_precision_loss)]
-    let per_s = |g: &ArchGroup| g.injections as f64 / g.lane_wall_s.max(1e-12);
-    println!(
-        "BENCH_arch: ff {} injections, scalar {:.3}s, lanes {:.3}s ({:.1}x, {:.0}/s); \
-         anomaly {} injections, scalar {:.3}s, lanes {:.3}s ({:.1}x, {:.0}/s) -> {}",
-        ff.injections,
-        ff.scalar_wall_s,
-        ff.lane_wall_s,
-        ff.speedup(),
-        per_s(&ff),
-        anomaly.injections,
-        anomaly.scalar_wall_s,
-        anomaly.lane_wall_s,
-        anomaly.speedup(),
-        per_s(&anomaly),
-        path.display()
-    );
+    let path = record.write(&run.results_dir);
+    println!("BENCH_fault_throughput: record -> {}", path.display());
 }

@@ -1,19 +1,17 @@
 //! Golden-model memoization payoff: the fixed workload is a full 60-cell
 //! `characterize_library` plus an `mlchar::train` over every cell, timed
-//! against an empty cache (cold) and a fully populated one (warm). Emits
-//! `results/BENCH_cache.json`, the machine-readable perf-trajectory record
-//! in the same shape as `BENCH_sweep.json`.
+//! against an empty cache (cold) and a fully populated one (warm). Writes
+//! `results/BENCH_golden_cache.json`, one [`BenchRecord`].
 //!
-//! Bit-identity is asserted, not assumed: before timing, the workload runs
-//! with the cache off, cold, and warm, and the libraries and trained models
-//! are compared `==`.
+//! Bit-identity is asserted, not assumed: the workload runs with the cache
+//! off, cold, and warm, and the libraries and trained models are compared
+//! `==`.
 //!
-//! `LORI_BENCH_SMOKE=1` skips the criterion sampling loops (CI runs it that
-//! way) but still performs the identity checks, the timed cold/warm passes,
-//! and the record write.
+//! `LORI_BENCH_SMOKE` has nothing to shrink here: one cold and one warm
+//! pass are the whole measurement, so smoke and full runs write the same
+//! keys.
 
-use criterion::{black_box, BenchmarkId, Criterion};
-use lori_bench::{write_bench_cache, CacheTiming, RunConfig};
+use lori_bench::{BenchRecord, RunConfig};
 use lori_cache::{Cache, CacheMode};
 use lori_circuit::cell::CellId;
 use lori_circuit::characterize::{characterize_library_par, Corner};
@@ -22,8 +20,9 @@ use lori_circuit::spicelike::{ArcTiming, GoldenSimulator};
 use lori_circuit::tech::TechParams;
 use lori_circuit::{cell::Library, CircuitError};
 use lori_par::Parallelism;
+use std::hint::black_box;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Training config for the cache benchmark: golden sampling (cacheable)
 /// must dominate model fitting (not cacheable), so the measured speedup
@@ -97,51 +96,44 @@ fn main() {
     assert_eq!(lib_off, lib_warm, "warm cache changed library bytes");
     assert_eq!(ml_off, ml_warm, "warm cache changed trained models");
 
-    let warm_lookups =
-        (after_warm.hits + after_warm.misses) - (after_cold.hits + after_cold.misses);
-    let warm_hits = after_warm.hits - after_cold.hits;
     #[allow(clippy::cast_precision_loss)]
-    let warm_hit_rate = if warm_lookups == 0 {
-        0.0
+    let hit_rate = |hits: u64, lookups: u64| {
+        if lookups == 0 {
+            0.0
+        } else {
+            hits as f64 / lookups as f64
+        }
+    };
+    let cold_hit_rate = hit_rate(after_cold.hits, after_cold.hits + after_cold.misses);
+    let warm_hit_rate = hit_rate(
+        after_warm.hits - after_cold.hits,
+        (after_warm.hits + after_warm.misses) - (after_cold.hits + after_cold.misses),
+    );
+    let speedup = if warm_wall > 0.0 {
+        cold_wall / warm_wall
     } else {
-        warm_hits as f64 / warm_lookups as f64
+        0.0
     };
 
-    if !run.bench_smoke {
-        let mut c = Criterion::default()
-            .measurement_time(Duration::from_millis(1500))
-            .warm_up_time(Duration::from_millis(300))
-            .sample_size(10);
-        let mut group = c.benchmark_group("golden_cache");
-        // Warm full workload (library + training) vs the uncached baseline
-        // on the library alone — the training fit cost is identical either
-        // way, so the library pair isolates pure memoization payoff.
-        let corner = Corner::default();
-        group.bench_with_input(BenchmarkId::new("library", "off"), &par, |b, &p| {
-            b.iter(|| characterize_library_par(black_box(&off_sim), &corner, p).expect("lib"));
-        });
-        group.bench_with_input(BenchmarkId::new("library", "warm"), &par, |b, &p| {
-            b.iter(|| characterize_library_par(black_box(&cached_sim), &corner, p).expect("lib"));
-        });
-        group.finish();
-    }
-
-    let cold = CacheTiming {
-        wall_s: cold_wall,
-        hit_rate: 0.0,
-    };
-    let warm = CacheTiming {
-        wall_s: warm_wall,
-        hit_rate: warm_hit_rate,
-    };
-    let path = write_bench_cache(&run.results_dir, golden_calls, &mode.label(), cold, warm);
+    let mut record = BenchRecord::new(env!("CARGO_CRATE_NAME"));
+    record
+        .case("golden_calls", golden_calls as f64)
+        .case("cold_wall_s", cold_wall)
+        .rate("cold_calls_per_s", golden_calls, cold_wall)
+        .case("cold_hit_rate", cold_hit_rate)
+        .case("warm_wall_s", warm_wall)
+        .rate("warm_calls_per_s", golden_calls, warm_wall)
+        .case("warm_hit_rate", warm_hit_rate)
+        .case("speedup", speedup);
+    let path = record.write(&run.results_dir);
     println!(
-        "BENCH_cache: {} golden calls, cold {:.3}s, warm {:.3}s ({:.1}x, hit rate {:.3}) -> {}",
+        "BENCH_golden_cache: {} golden calls, cache {}, cold {:.3}s, warm {:.3}s ({:.1}x, hit rate {:.3}) -> {}",
         golden_calls,
-        cold.wall_s,
-        warm.wall_s,
-        cold.wall_s / warm.wall_s.max(1e-12),
-        warm.hit_rate,
+        mode.label(),
+        cold_wall,
+        warm_wall,
+        speedup,
+        warm_hit_rate,
         path.display()
     );
 }

@@ -1,26 +1,24 @@
 //! STA throughput: full from-scratch timing analysis vs incremental
 //! single-edit retiming on the `StaEngine`, at increasing design scale.
-//! Emits `results/BENCH_sta.json`, the machine-readable perf-trajectory
-//! record in the same shape as the other `BENCH_*` files.
+//! Writes `results/BENCH_sta.json`, one [`BenchRecord`] with a
+//! `<design>_*` group of cases per design.
 //!
 //! Exactness is asserted, not assumed: after the timed incremental edit
 //! sequence, the engine's report is compared `==` against a from-scratch
 //! pass carrying the same override set.
 //!
-//! `LORI_BENCH_SMOKE=1` skips the criterion sampling loops (CI runs it
-//! that way) but still performs the timed full/incremental measurements,
-//! the identity check, and the record write, so the gate keys stay
-//! comparable between smoke and full runs.
+//! `LORI_BENCH_SMOKE` has nothing to shrink here: the measurements are
+//! already CI-sized, so smoke and full runs write the same keys.
 
-use criterion::{black_box, BenchmarkId, Criterion};
-use lori_bench::{write_bench_sta, RunConfig, StaDesign};
+use lori_bench::{BenchRecord, RunConfig};
 use lori_circuit::characterize::{characterize_library, Corner};
 use lori_circuit::netlist::{processor_datapath, random_logic, InstId, Netlist};
 use lori_circuit::spicelike::GoldenSimulator;
 use lori_circuit::sta::{run_sta, InstanceTiming, StaConfig, StaEngine};
 use lori_circuit::tech::TechParams;
 use lori_core::Rng;
-use std::time::{Duration, Instant};
+use std::hint::black_box;
+use std::time::Instant;
 
 /// A pre-generated single-instance edit schedule, so the timed loop holds
 /// nothing but `set_timing` calls.
@@ -40,16 +38,20 @@ fn edit_schedule(n_instances: usize, edits: usize, seed: u64) -> Vec<(InstId, In
 }
 
 /// Times `full_passes` from-scratch runs and `edits` incremental
-/// single-edit retimes on one design, then asserts the incremental end
-/// state equals a from-scratch pass with the same overrides.
+/// single-edit retimes on one design, asserts the incremental end state
+/// equals a from-scratch pass with the same overrides, and appends the
+/// design's `<name>_*` cases to `record`. Returns the single-edit speedup:
+/// how many times faster one incremental retime is than one full pass.
+#[allow(clippy::cast_precision_loss)]
 fn measure(
+    record: &mut BenchRecord,
     name: &str,
     netlist: &Netlist,
     lib: &lori_circuit::cell::Library,
     cfg: &StaConfig,
     full_passes: usize,
     edits: usize,
-) -> StaDesign {
+) -> f64 {
     let n = netlist.instance_count();
 
     let t0 = Instant::now();
@@ -81,14 +83,30 @@ fn measure(
         "{name}: incremental end state diverged from a from-scratch pass"
     );
 
-    StaDesign {
-        name: name.to_owned(),
-        instances: n,
-        full_passes,
-        full_wall_s,
-        edits,
-        incremental_wall_s,
-    }
+    let speedup = if incremental_wall_s > 0.0 {
+        (full_wall_s / full_passes as f64) / (incremental_wall_s / edits as f64)
+    } else {
+        0.0
+    };
+    record
+        .case(format!("{name}_instances"), n as f64)
+        .case(format!("{name}_full_passes"), full_passes as f64)
+        .case(format!("{name}_full_wall_s"), full_wall_s)
+        .rate(
+            format!("{name}_full_passes_per_s"),
+            full_passes,
+            full_wall_s,
+        )
+        .case(format!("{name}_edits"), edits as f64)
+        .case(format!("{name}_incremental_wall_s"), incremental_wall_s)
+        .rate(format!("{name}_edits_per_s"), edits, incremental_wall_s)
+        .case(format!("{name}_single_edit_speedup"), speedup);
+    println!(
+        "BENCH_sta: {name} ({n} instances) full {:.2} passes/s, incremental {:.0} edits/s ({speedup:.0}x per edit)",
+        full_passes as f64 / full_wall_s.max(1e-12),
+        edits as f64 / incremental_wall_s.max(1e-12),
+    );
+    speedup
 }
 
 fn main() {
@@ -110,83 +128,37 @@ fn main() {
         dp_large.instance_count()
     );
 
-    let designs = vec![
-        measure("random_logic_2000", &rl_2000, &lib, &cfg, 20, 2000),
-        measure("random_logic_8000", &rl_8000, &lib, &cfg, 10, 1000),
-        measure(
-            &format!("processor_datapath_{}", dp_small.instance_count()),
-            &dp_small,
-            &lib,
-            &cfg,
-            10,
-            1000,
-        ),
-        measure(
-            &format!("processor_datapath_{}", dp_large.instance_count()),
-            &dp_large,
-            &lib,
-            &cfg,
-            3,
-            300,
-        ),
-    ];
+    let mut record = BenchRecord::new(env!("CARGO_CRATE_NAME"));
+    measure(
+        &mut record,
+        "random_logic_2000",
+        &rl_2000,
+        &lib,
+        &cfg,
+        20,
+        2000,
+    );
+    measure(
+        &mut record,
+        "random_logic_8000",
+        &rl_8000,
+        &lib,
+        &cfg,
+        10,
+        1000,
+    );
+    let dp_small_name = format!("processor_datapath_{}", dp_small.instance_count());
+    measure(&mut record, &dp_small_name, &dp_small, &lib, &cfg, 10, 1000);
+    let dp_large_name = format!("processor_datapath_{}", dp_large.instance_count());
+    let large_speedup = measure(&mut record, &dp_large_name, &dp_large, &lib, &cfg, 3, 300);
 
     // The acceptance bar from the incremental-STA refactor: a single-edit
     // retime on the >= 100k-gate datapath beats a full pass by >= 10x.
-    let large = designs.last().expect("large design measured");
     assert!(
-        large.single_edit_speedup() >= 10.0,
-        "single-edit retime speedup {:.1}x below the 10x bar on {}",
-        large.single_edit_speedup(),
-        large.name
+        large_speedup >= 10.0,
+        "single-edit retime speedup {large_speedup:.1}x below the 10x bar on {dp_large_name}"
     );
 
-    if !run.bench_smoke {
-        let mut c = Criterion::default()
-            .measurement_time(Duration::from_millis(1500))
-            .warm_up_time(Duration::from_millis(400))
-            .sample_size(20);
-        let mut group = c.benchmark_group("sta");
-        for (gates, nl) in [(2000usize, &rl_2000), (8000, &rl_8000)] {
-            group.bench_with_input(BenchmarkId::new("full/random_logic", gates), nl, |b, nl| {
-                b.iter(|| run_sta(nl, &lib, &cfg).expect("sta"));
-            });
-            let schedule = edit_schedule(nl.instance_count(), 256, 11);
-            group.bench_with_input(
-                BenchmarkId::new("incremental/random_logic", gates),
-                nl,
-                |b, nl| {
-                    let mut engine = StaEngine::new(nl, &lib, &cfg).expect("engine");
-                    let mut i = 0usize;
-                    b.iter(|| {
-                        let (inst, t) = schedule[i % schedule.len()];
-                        i += 1;
-                        engine.set_timing(nl, &lib, inst, t).expect("retime");
-                        black_box(engine.max_arrival_ps())
-                    });
-                },
-            );
-        }
-        group.bench_with_input(
-            BenchmarkId::new("full/processor_datapath", dp_small.instance_count()),
-            &dp_small,
-            |b, nl| {
-                b.iter(|| run_sta(nl, &lib, &cfg).expect("sta"));
-            },
-        );
-        group.finish();
-    }
-
-    let path = write_bench_sta(&run.results_dir, &designs);
-    for d in &designs {
-        println!(
-            "BENCH_sta: {} ({} instances) full {:.2} passes/s, incremental {:.0} edits/s ({:.0}x per edit)",
-            d.name,
-            d.instances,
-            d.full_passes as f64 / d.full_wall_s.max(1e-12),
-            d.edits as f64 / d.incremental_wall_s.max(1e-12),
-            d.single_edit_speedup()
-        );
-    }
+    let path = record.write(&run.results_dir);
     println!("BENCH_sta: record -> {}", path.display());
 }

@@ -2,8 +2,8 @@
 //!
 //! The experiment harness for LORI: shared report-formatting helpers used
 //! by the `exp-*` binaries that regenerate every figure of the paper, plus
-//! the Criterion benches. See DESIGN.md §4 for the experiment index and
-//! EXPERIMENTS.md for recorded results.
+//! the [`BenchRecord`] the perf benches write. See DESIGN.md §4 for the
+//! experiment index and EXPERIMENTS.md for recorded results.
 
 pub mod config;
 pub mod harness;
@@ -11,10 +11,7 @@ pub mod perf;
 
 pub use config::RunConfig;
 pub use harness::Harness;
-pub use perf::{
-    write_bench_arch, write_bench_cache, write_bench_obs, write_bench_sta, write_bench_sweep,
-    ArchGroup, CacheTiming, StaDesign, SweepTiming,
-};
+pub use perf::BenchRecord;
 
 use lori_ftsched::montecarlo::SweepPoint;
 use lori_obs::Value;

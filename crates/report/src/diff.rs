@@ -1,5 +1,5 @@
 //! Metric diffing and perf-regression gating between two JSON records
-//! (BENCH_* perf trajectories or run manifests).
+//! (`BENCH_<bench>.json` perf records or run manifests).
 //!
 //! Both documents are flattened to `dotted.path -> f64` maps and compared
 //! key by key. The gate is *ratio-based*: a key regresses when it moves
@@ -39,8 +39,8 @@ pub struct DiffReport {
     pub only_cur: Vec<String>,
     /// Gate violations (non-empty fails the gate).
     pub gate_failures: Vec<String>,
-    /// Gate violations downgraded to warnings (core-count mismatch or
-    /// 1-core runner).
+    /// Gate violations downgraded to warnings (core counts differ or are
+    /// missing).
     pub gate_warnings: Vec<String>,
 }
 
@@ -216,18 +216,19 @@ pub fn render(report: &DiffReport) -> String {
 mod tests {
     use super::*;
 
-    fn bench(cores: u64, wall_s: f64, pps: f64) -> Value {
+    /// A `BENCH_<bench>.json` record in the schema every bench writes.
+    fn bench(cores: u64, wall_s: f64, per_s: f64) -> Value {
         Value::Obj(vec![
-            ("bench".to_owned(), Value::from("fig56_sweep")),
+            ("bench".to_owned(), Value::from("fault_throughput")),
             ("cores".to_owned(), Value::from(cores)),
+            ("version".to_owned(), Value::from("abc-dirty")),
             (
-                "parallel".to_owned(),
+                "cases".to_owned(),
                 Value::Obj(vec![
-                    ("wall_s".to_owned(), Value::from(wall_s)),
-                    ("points_per_s".to_owned(), Value::from(pps)),
+                    ("lane_wall_s".to_owned(), Value::from(wall_s)),
+                    ("lane_injections_per_s".to_owned(), Value::from(per_s)),
                 ]),
             ),
-            ("version".to_owned(), Value::from("abc-dirty")),
         ])
     }
 
@@ -235,8 +236,8 @@ mod tests {
     fn flatten_produces_dotted_paths_and_skips_version() {
         let map = flatten(&bench(4, 2.0, 6.5));
         assert_eq!(map.get("cores"), Some(&4.0));
-        assert_eq!(map.get("parallel.wall_s"), Some(&2.0));
-        assert_eq!(map.get("parallel.points_per_s"), Some(&6.5));
+        assert_eq!(map.get("cases.lane_wall_s"), Some(&2.0));
+        assert_eq!(map.get("cases.lane_injections_per_s"), Some(&6.5));
         assert!(!map.contains_key("version"));
         assert!(!map.contains_key("bench"), "strings are not diffable");
     }
@@ -274,8 +275,8 @@ mod tests {
 
     #[test]
     fn missing_cores_field_demotes_to_warning() {
-        let base = Value::parse(r#"{"parallel": {"wall_s": 2.0}}"#).unwrap();
-        let cur = Value::parse(r#"{"parallel": {"wall_s": 9.0}}"#).unwrap();
+        let base = Value::parse(r#"{"cases": {"lane_wall_s": 2.0}}"#).unwrap();
+        let cur = Value::parse(r#"{"cases": {"lane_wall_s": 9.0}}"#).unwrap();
         let report = diff(&base, &cur, Some(25.0));
         assert!(report.gate_ok(), "unknown hardware cannot hard-fail");
         assert_eq!(report.gate_warnings.len(), 1);
@@ -332,6 +333,6 @@ mod tests {
         let cur = bench(4, 9.0, 1.0);
         let text = render(&diff(&base, &cur, Some(25.0)));
         assert!(text.contains("FAIL gate"));
-        assert!(text.contains("parallel.wall_s"));
+        assert!(text.contains("cases.lane_wall_s"));
     }
 }

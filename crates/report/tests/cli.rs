@@ -85,11 +85,10 @@ fn profile_rejects_corrupt_stream_with_line_number() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-fn bench_record(wall_s: f64, pps: f64) -> String {
+fn bench_record(wall_s: f64, per_s: f64) -> String {
     format!(
-        "{{\"bench\":\"fig56_sweep\",\"cores\":4,\
-         \"parallel\":{{\"threads\":4,\"wall_s\":{wall_s},\"points_per_s\":{pps}}},\
-         \"version\":\"test\"}}"
+        "{{\"bench\":\"fault_throughput\",\"cores\":4,\"version\":\"test\",\
+         \"cases\":{{\"lane_wall_s\":{wall_s},\"lane_injections_per_s\":{per_s}}}}}"
     )
 }
 
